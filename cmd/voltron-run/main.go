@@ -20,13 +20,13 @@ import (
 	"io"
 	"os"
 	"path/filepath"
+	"slices"
 	"strconv"
 	"strings"
 
 	"voltron/internal/compiler"
 	"voltron/internal/core"
 	"voltron/internal/ir"
-	"voltron/internal/lang"
 	"voltron/internal/prof"
 	"voltron/internal/spec"
 	"voltron/internal/stats"
@@ -67,22 +67,25 @@ func run(args []string, stdout, stderr io.Writer) error {
 		}
 		return nil
 	}
-	strat, ok := spec.StrategyFor(*strategy)
-	if !ok {
-		return fmt.Errorf("unknown strategy %q", *strategy)
-	}
-	if err := spec.ValidateCores(*cores); err != nil {
-		return err
-	}
-	sel, ok := spec.SelectionFor(*selectMode)
-	if !ok {
-		return fmt.Errorf("unknown selection mode %q", *selectMode)
-	}
 	if *bench != "" && *srcPath != "" {
 		return fmt.Errorf("-bench and -src are mutually exclusive")
 	}
-	name := *bench
-	var p *ir.Program
+	// Normalize reads a zero or empty field as "use the default"; on the
+	// command line those values are mistakes, as in voltron-compile.
+	if err := spec.ValidateCores(*cores); err != nil {
+		return err
+	}
+	if *strategy == "" || *selectMode == "" {
+		return fmt.Errorf("-strategy and -select must not be empty")
+	}
+	// The flags describe one job exactly as a POST /v1/jobs body would, so
+	// the CLI and the service validate and lower it the same way.
+	req := &spec.JobRequest{
+		Program:  &spec.ProgramSpec{Kind: spec.KindBench, Bench: *bench},
+		Strategy: *strategy,
+		Cores:    *cores,
+		Compiler: spec.CompilerOptions{Select: *selectMode, SelectThreshold: *selectTh},
+	}
 	if *srcPath != "" {
 		b, err := os.ReadFile(*srcPath)
 		if err != nil {
@@ -92,49 +95,53 @@ func run(args []string, stdout, stderr io.Writer) error {
 		if err != nil {
 			return err
 		}
-		name = strings.TrimSuffix(filepath.Base(*srcPath), filepath.Ext(*srcPath))
-		if p, err = lang.Compile(string(b), name, ins); err != nil {
-			return err
-		}
+		name := strings.TrimSuffix(filepath.Base(*srcPath), filepath.Ext(*srcPath))
+		req.Program = &spec.ProgramSpec{Kind: spec.KindSource, Name: name, Source: string(b), Inputs: ins}
+	} else if *bench == "" {
+		req.Program.Bench = "gsmdecode"
+	}
+	if err := req.Normalize(func(b string) bool { return slices.Contains(workload.Names(), b) }); err != nil {
+		return err
+	}
+	var (
+		p   *ir.Program
+		err error
+	)
+	if req.Program.Kind == spec.KindBench {
+		p, err = workload.Build(req.Program.Bench)
 	} else {
-		if name == "" {
-			name = "gsmdecode"
-		}
-		var err error
-		if p, err = workload.Build(name); err != nil {
-			return err
-		}
+		p, err = req.Program.Build()
+	}
+	if err != nil {
+		return err
 	}
 	pr, err := prof.Collect(p)
 	if err != nil {
 		return err
 	}
-	tracing := *tracePath != "" || *traceText != "" || *stalls
-	var tr *trace.Tracer
-	var mainCP *core.CompiledProgram
-	simulate := func(s compiler.Strategy, n int, traced bool) (*core.RunResult, error) {
-		cp, err := compiler.Compile(p, compiler.Options{
-			Cores: n, Strategy: s, Profile: pr, Workers: *workers,
-			Selection: sel, SelectThreshold: *selectTh,
-		})
+	// simulate compiles and runs one job on a fresh machine; only -j differs
+	// from the service's lowering of the same request.
+	simulate := func(req *spec.JobRequest, tr *trace.Tracer) (*core.CompiledProgram, *core.RunResult, error) {
+		opts := req.CompilerOpts()
+		opts.Profile, opts.Workers = pr, *workers
+		cp, err := compiler.Compile(p, opts)
 		if err != nil {
-			return nil, err
+			return nil, nil, err
 		}
-		cfg := core.DefaultConfig(n)
-		if traced && tracing {
-			tr = trace.New()
-			cfg.Tracer = tr
-		}
-		if traced {
-			mainCP = cp
-		}
-		return core.New(cfg).Run(cp)
+		res, err := core.New(req.MachineConfig(tr)).Run(cp)
+		return cp, res, err
 	}
-	base, err := simulate(compiler.Serial, 1, false)
+	baseReq := *req
+	baseReq.Strategy, baseReq.Cores = "serial", 1
+	_, base, err := simulate(&baseReq, nil)
 	if err != nil {
 		return err
 	}
-	res, err := simulate(strat, *cores, true)
+	var tr *trace.Tracer
+	if *tracePath != "" || *traceText != "" || *stalls {
+		tr = trace.New()
+	}
+	mainCP, res, err := simulate(req, tr)
 	if err != nil {
 		// An aborted run (deadlock, schedule violation) still dumps the
 		// requested traces — that is when they are most needed.
@@ -147,12 +154,12 @@ func run(args []string, stdout, stderr io.Writer) error {
 		return err
 	}
 	fmt.Fprintf(stdout, "%s on %d cores (%s): %d cycles, speedup %.2fx over 1-core (%d cycles)\n",
-		name, *cores, strat, res.TotalCycles,
+		p.Name, req.Cores, req.CompilerOpts().Strategy, res.TotalCycles,
 		float64(base.TotalCycles)/float64(res.TotalCycles), base.TotalCycles)
 	fmt.Fprintf(stdout, "mode occupancy: %.0f%% coupled / %.0f%% decoupled; spawns=%d tm-conflicts=%d\n",
 		100*res.ModeFraction(stats.ModeCoupled), 100*res.ModeFraction(stats.ModeDecoupled),
 		res.Spawns, res.TMConflicts)
-	if ssum := mainCP.Selection; ssum.Mode != "" && sel != compiler.SelectMeasured {
+	if ssum := mainCP.Selection; ssum.Mode != "" && req.Compiler.Select != spec.DefaultSelect {
 		fmt.Fprintf(stdout, "selection: %s (%d static, %d escalated, %d measured)\n",
 			ssum.Mode, ssum.Static, ssum.Escalated, ssum.Measured)
 	}

@@ -124,6 +124,13 @@ func TestErrors(t *testing.T) {
 	if err := run([]string{"-strategy", "magic"}, &stdout, &stderr); err == nil {
 		t.Error("unknown strategy accepted")
 	}
+	for _, args := range [][]string{
+		{"-cores", "0"}, {"-cores", "65"}, {"-strategy", ""}, {"-select", ""},
+	} {
+		if err := run(args, &stdout, &stderr); err == nil {
+			t.Errorf("%q accepted", args)
+		}
+	}
 	if err := run([]string{"-bench", "nonesuch"}, &stdout, &stderr); err == nil {
 		t.Error("unknown benchmark accepted")
 	}

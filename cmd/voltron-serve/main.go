@@ -13,12 +13,15 @@
 //	voltron-serve -self a -peers a=http://h1:8080,b=http://h2:8080
 //	                                       # one replica of a two-node fleet
 //
-// API:
+// API (see server.Server.Handler):
 //
 //	GET  /healthz
 //	GET  /metrics
 //	GET  /v1/benchmarks
-//	POST /v1/jobs        {"bench": "gsmdecode", "strategy": "hybrid", "cores": 4, "baseline": true}
+//	GET  /v1/strategies
+//	POST /v1/jobs        {"program": {"kind": "bench", "bench": "gsmdecode"}, "strategy": "hybrid", "cores": 4, "baseline": true}
+//	POST /v1/validate    (same body; parse, check and classify without simulating)
+//	GET  /v1/traces/{key}
 //	GET  /v1/figures/13
 package main
 

@@ -3,7 +3,6 @@ package core
 import (
 	"context"
 	"fmt"
-	"io"
 	"math"
 
 	"voltron/internal/isa"
@@ -40,14 +39,9 @@ type Config struct {
 	// ablation knob): cores are arranged over MeshCols columns instead of
 	// the near-square default, with ghost positions padding the last row.
 	// Values below 4 break the coupled compiler's row-group adjacency, so
-	// the request surface only admits 0 or [4, cores].
+	// the request surface only admits 0 or [4, cores] (and not 4 at 4
+	// cores for coupled strategies, whose code assumes the 2×2 default).
 	MeshCols int
-	// Trace, when non-nil, receives the legacy text trace — one line per
-	// issued instruction and per region transition. It is rendered from the
-	// structured event stream (trace.Tracer.WriteText) when the run
-	// completes or fails; the simulator no longer formats text on its hot
-	// path.
-	Trace io.Writer
 	// Tracer, when non-nil, collects the structured timeline of the run:
 	// per-core stall spans, operand- and queue-network events, spawn/sleep
 	// transitions, cache-miss fills, transactions and region boundaries.
@@ -310,17 +304,6 @@ func (m *Machine) RunContext(ctx context.Context, cp *CompiledProgram) (*RunResu
 	// Drop run-scoped references on the way out so an idle pooled machine
 	// pins neither the compiled program nor the request's context/tracer.
 	defer func() { rs.ctx, rs.cp, rs.cr, rs.tr = nil, nil, nil, nil }()
-	if rs.tr == nil && m.cfg.Trace != nil {
-		// A text-only trace still flows through the structured stream: the
-		// machine collects events and renders them below.
-		rs.tr = trace.New()
-	}
-	if m.cfg.Trace != nil {
-		// Render on the way out so the text trace survives aborted runs
-		// (deadlocks, schedule violations) exactly as the streamed legacy
-		// trace did.
-		defer rs.tr.WriteText(m.cfg.Trace)
-	}
 	rs.sys.Tracer = rs.tr
 	if ctx.Done() != nil {
 		rs.ctx = ctx

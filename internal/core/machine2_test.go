@@ -8,6 +8,7 @@ import (
 	"voltron/internal/ir"
 	"voltron/internal/isa"
 	"voltron/internal/stats"
+	"voltron/internal/trace"
 )
 
 // TestQueueBackpressure: a producer that sends far more messages than the
@@ -221,14 +222,17 @@ func TestCoreCountMismatchRejected(t *testing.T) {
 	}
 }
 
-// TestTraceFacility: the trace sink receives region markers and issue
-// lines in both modes.
+// TestTraceFacility: the text rendering of a traced run carries region
+// markers and issue lines in both modes.
 func TestTraceFacility(t *testing.T) {
 	cp, _ := doallProgram(false)
 	cfg := DefaultConfig(2)
-	var buf bytes.Buffer
-	cfg.Trace = &buf
+	cfg.Tracer = trace.New()
 	if _, err := New(cfg).Run(cp); err != nil {
+		t.Fatal(err)
+	}
+	var buf bytes.Buffer
+	if err := cfg.Tracer.WriteText(&buf); err != nil {
 		t.Fatal(err)
 	}
 	out := buf.String()

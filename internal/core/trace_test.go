@@ -91,29 +91,6 @@ func TestTraceReportMatchesStats(t *testing.T) {
 	}
 }
 
-// TestTraceTextMatchesLegacyTrace runs the same workload once streaming the
-// text trace through Config.Trace and once rendering it from an explicit
-// Tracer; both paths must produce identical bytes (they are the same
-// renderer over the same event stream).
-func TestTraceTextMatchesLegacyTrace(t *testing.T) {
-	cp := queuePipelineProgram()
-	var viaConfig bytes.Buffer
-	cfg := DefaultConfig(cp.Cores)
-	cfg.Trace = &viaConfig
-	mustRun(t, cfg, cp)
-	_, tr := traceRun(t, cp)
-	var viaTracer bytes.Buffer
-	if err := tr.WriteText(&viaTracer); err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(viaConfig.Bytes(), viaTracer.Bytes()) {
-		t.Fatalf("text traces diverge:\n--- Config.Trace\n%s\n--- Tracer.WriteText\n%s", viaConfig.String(), viaTracer.String())
-	}
-	if !bytes.Contains(viaConfig.Bytes(), []byte("=== region")) {
-		t.Fatalf("text trace lost its region header:\n%s", viaConfig.String())
-	}
-}
-
 // tripCountProgram builds a single-core coupled loop with n iterations of
 // store/load traffic through a masked stride (addresses stay inside the
 // image no matter the trip count) — the allocation guard runs it at two

@@ -1,17 +1,17 @@
 package server
 
-// Admission control: bounded per-class queues in front of the batcher. A
-// request is classified before it is admitted — "cached-read" if its content
-// address already has a completed local cache entry (microseconds of work),
-// "simulate" otherwise (it may compile and run an event loop) — and each
-// class has its own bound on concurrently admitted requests. A class at its
-// bound sheds with a typed 429 body and a Retry-After estimate instead of
-// queueing without limit: under open-loop overload an unbounded queue only
-// converts every request into a timeout, while shedding keeps the admitted
-// ones fast and tells clients when to come back. Admitted requests run
-// synchronously inside their handlers, so http.Server draining also drains
-// the admission queues — shutdown completes every admitted request (a test
-// pins this) and sheds nothing.
+// Admission control: bounded per-class queues in front of the worker slots.
+// A request is classified before it is admitted — "cached-read" if its
+// content address already has a completed local cache entry (microseconds
+// of work), "simulate" otherwise (it may compile and run an event loop) —
+// and each class has its own bound on concurrently admitted requests. A
+// class at its bound sheds with a typed 429 body and a Retry-After estimate
+// instead of queueing without limit: under open-loop overload an unbounded
+// queue only converts every request into a timeout, while shedding keeps
+// the admitted ones fast and tells clients when to come back. Admitted
+// requests run synchronously inside their handlers, so http.Server draining
+// also drains the admission queues — shutdown completes every admitted
+// request (a test pins this) and sheds nothing.
 
 import (
 	"sync"
@@ -40,7 +40,7 @@ func (c admClass) String() string {
 }
 
 // admission holds the per-class bounds and current depths. Depth counts
-// requests between admit and release — queued in the batcher or running —
+// requests between admit and release — waiting for a worker slot or running —
 // so the bound covers the whole residence of a request, not just its queue
 // wait.
 type admission struct {

@@ -17,6 +17,7 @@ const (
 	// cacheDeduped: an identical request was in flight; this one waited for
 	// its result instead of computing (singleflight).
 	cacheDeduped
+	cacheStatuses // the number of statuses, for per-status counters
 )
 
 func (s cacheStatus) String() string {

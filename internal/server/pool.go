@@ -1,16 +1,11 @@
 package server
 
-// The warm-worker layer: a pool of reusable core.Machines keyed by machine
-// configuration, and a batcher that drains queued runs of one compiled
-// artifact through whichever request first wins a worker slot. Together
-// they make the hot serving path "one event loop per job": the compile
-// stage is satisfied by the artifact cache, the machine by a Reset instead
-// of a rebuild, and consecutive homogeneous jobs keep one warm machine's
-// caches of allocation hot.
+// The warm-machine layer: a pool of reusable core.Machines keyed by machine
+// configuration. With the artifact cache in front of it, the hot serving
+// path is "one event loop per job": the compile stage is satisfied by the
+// artifact cache and the machine by a Reset instead of a rebuild.
 
 import (
-	"context"
-	"fmt"
 	"sync"
 
 	"voltron/internal/core"
@@ -80,136 +75,4 @@ func (p *machinePool) size() int {
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	return p.total
-}
-
-// runReq is one queued simulation: a compiled artifact plus the machine
-// configuration to run it on. batch groups runs by artifact so one
-// slot-holder drains them back to back on one warm machine; pool selects
-// which warm pool serves the run.
-type runReq struct {
-	batch string // compile-artifact key: the batching group
-	pool  string // machine-configuration key: which warm pool serves it
-	cfg   core.Config
-	cp    *core.CompiledProgram
-	ctx   context.Context
-	done  chan struct{} // closed once res/err are set
-	res   *core.RunResult
-	err   error
-}
-
-// batcher executes runs on a bounded number of worker slots. A request
-// enqueues its run into its artifact's group, then either wins a slot — in
-// which case it drains the whole group, running queued homogeneous jobs
-// consecutively on one warm machine — or observes its run completed by
-// another request's drain. There are no standing worker goroutines: every
-// run executes on some request handler's own goroutine, so draining HTTP
-// handlers drains the batcher for free and nothing can leak.
-type batcher struct {
-	sem  chan struct{}
-	pool *machinePool
-
-	mu     sync.Mutex
-	groups map[string][]*runReq
-
-	queued  stats.Counter // runs waiting for a slot (gauge)
-	running stats.Counter // runs executing (gauge)
-	runs    stats.Counter // simulations executed
-	batched stats.Counter // runs drained on another request's slot
-}
-
-func newBatcher(workers int, pool *machinePool) *batcher {
-	return &batcher{
-		sem:    make(chan struct{}, workers),
-		pool:   pool,
-		groups: map[string][]*runReq{},
-	}
-}
-
-// run executes req, batching it with queued runs that share its artifact.
-// It blocks until the run completed (on this or another goroutine) or ctx
-// was canceled while the run was still queued; a run already claimed by a
-// drainer is waited out (the canceled ctx is threaded into the simulator,
-// so it fails fast).
-func (b *batcher) run(ctx context.Context, req *runReq) (*core.RunResult, error) {
-	req.ctx = ctx
-	req.done = make(chan struct{})
-	b.mu.Lock()
-	b.groups[req.batch] = append(b.groups[req.batch], req)
-	b.mu.Unlock()
-	b.queued.Add(1)
-
-	select {
-	case b.sem <- struct{}{}:
-		b.drain(req)
-		<-b.sem
-		// drain emptied this group's queue, so our run was claimed — by us
-		// or by an earlier drainer that may still be executing it.
-		<-req.done
-	case <-req.done:
-	case <-ctx.Done():
-		if b.unqueue(req) {
-			b.queued.Add(-1)
-			return nil, fmt.Errorf("waiting for a worker slot: %w", ctx.Err())
-		}
-		<-req.done
-	}
-	return req.res, req.err
-}
-
-// drain claims and executes queued runs of owner's group until the group is
-// empty, reusing one warm machine per machine configuration via the pool.
-// Runs whose request was canceled while queued are answered without
-// simulating.
-func (b *batcher) drain(owner *runReq) {
-	for {
-		b.mu.Lock()
-		q := b.groups[owner.batch]
-		var req *runReq
-		for req == nil && len(q) > 0 {
-			r := q[0]
-			q[0] = nil
-			q = q[1:]
-			if r.ctx.Err() != nil {
-				r.err = fmt.Errorf("waiting for a worker slot: %w", r.ctx.Err())
-				b.queued.Add(-1)
-				close(r.done)
-				continue
-			}
-			req = r
-		}
-		if req == nil {
-			delete(b.groups, owner.batch)
-			b.mu.Unlock()
-			return
-		}
-		b.groups[owner.batch] = q
-		b.mu.Unlock()
-
-		b.queued.Add(-1)
-		b.running.Add(1)
-		m := b.pool.get(req.pool, req.cfg)
-		req.res, req.err = m.RunContext(req.ctx, req.cp)
-		b.pool.put(req.pool, m)
-		b.running.Add(-1)
-		b.runs.Inc()
-		if req != owner {
-			b.batched.Inc()
-		}
-		close(req.done)
-	}
-}
-
-// unqueue removes a still-queued run; false means a drainer already claimed
-// it (and will close its done channel).
-func (b *batcher) unqueue(req *runReq) bool {
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	q := b.groups[req.batch]
-	for i, r := range q {
-		if r == req {
-			b.groups[req.batch] = append(q[:i], q[i+1:]...)
-			return true
-		}
-	}
-	return false
 }

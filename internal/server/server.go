@@ -92,9 +92,10 @@ type Server struct {
 	artifacts *sfCache[*core.CompiledProgram]
 	traces    *blobStore
 	pool      *machinePool
-	batch     *batcher
-	// compileSem bounds concurrent compilations separately from the run
-	// slots (a compile must not starve runs of the warm machines it feeds).
+	// runSem bounds concurrent simulations (Config.Workers); compileSem
+	// bounds concurrent compilations separately, so a compile cannot starve
+	// runs of the warm machines it feeds.
+	runSem     chan struct{}
 	compileSem chan struct{}
 	start      time.Time
 	// Cluster state: the consistent-hash ring over the fleet (nil when
@@ -103,16 +104,15 @@ type Server struct {
 	ring     *ring
 	peerURL  map[string]string
 	peerHTTP *http.Client
-	// adm is the admission layer: per-class bounds in front of the batcher.
+	// adm is the admission layer: per-class bounds in front of the worker
+	// slots.
 	adm *admission
 
-	jobs           stats.Counter
-	hits           stats.Counter
-	misses         stats.Counter
-	deduped        stats.Counter
-	compileHits    stats.Counter
-	compileMisses  stats.Counter
-	compileDeduped stats.Counter
+	jobs stats.Counter
+	// Lookups by cacheStatus: of the result cache, per job, and of the
+	// compile-artifact cache, per local computation.
+	results  [cacheStatuses]stats.Counter
+	compiles [cacheStatuses]stats.Counter
 	// Tiered strategy selection: regions decided statically by the
 	// classifier, regions escalated to measured selection, and regions
 	// re-selected by the stall-report agreement check (Recheck).
@@ -126,7 +126,12 @@ type Server struct {
 	peerFallbacks stats.Counter
 	errorsN       stats.Counter
 	canceled      stats.Counter
-	latency       map[string]*stats.Histogram
+	// Worker slots: runs waiting for a slot and runs executing (gauges),
+	// and simulations completed.
+	queued  stats.Counter
+	running stats.Counter
+	runs    stats.Counter
+	latency map[string]*stats.Histogram
 }
 
 // New creates a Server.
@@ -173,11 +178,11 @@ func New(cfg Config) *Server {
 		artifacts:  newSFCache[*core.CompiledProgram](cfg.ArtifactEntries),
 		traces:     newBlobStore(cfg.TraceEntries),
 		pool:       newMachinePool(poolPerKey),
+		runSem:     make(chan struct{}, cfg.Workers),
 		compileSem: make(chan struct{}, cfg.Workers),
 		start:      time.Now(),
 		latency:    map[string]*stats.Histogram{},
 	}
-	s.batch = newBatcher(cfg.Workers, s.pool)
 	s.adm = newAdmission(cfg.AdmitSimulate, cfg.AdmitCachedRead)
 	if len(cfg.Peers) > 0 {
 		s.ring = newRing(ringVnodes)
@@ -207,6 +212,7 @@ func New(cfg Config) *Server {
 //	GET  /v1/benchmarks    — built-in benchmark names
 //	GET  /v1/strategies    — parallelization strategies with metadata
 //	POST /v1/jobs          — run one compile-and-simulate job
+//	POST /v1/validate      — check and classify a job without running it
 //	GET  /v1/traces/{key}  — Chrome trace JSON of a traced job
 //	GET  /v1/figures/{n}   — regenerate one paper figure (3, 10-14)
 func (s *Server) Handler() http.Handler {
@@ -283,8 +289,8 @@ type MetricsSnapshot struct {
 	CompileCacheEntries  int     `json:"compile_cache_entries"`
 	CompileCacheHitRatio float64 `json:"compile_cache_hit_ratio"`
 	// Machine-pool effectiveness: a hit reused (and reset) a warm machine,
-	// a "new" built one from scratch. BatchedRuns counts simulations drained
-	// on another request's worker slot (homogeneous-job batching).
+	// a "new" built one from scratch. BatchedRuns is always 0; it stays on
+	// the wire for existing clients.
 	MachinePoolHits   int64 `json:"machine_pool_hits"`
 	MachinePoolResets int64 `json:"machine_pool_resets"`
 	MachinePoolNews   int64 `json:"machine_pool_news"`
@@ -327,20 +333,19 @@ func (s *Server) Metrics() MetricsSnapshot {
 		UptimeSeconds:        time.Since(s.start).Seconds(),
 		Workers:              s.cfg.Workers,
 		Jobs:                 s.jobs.Value(),
-		Simulations:          s.batch.runs.Value(),
-		CacheHits:            s.hits.Value(),
-		CacheMisses:          s.misses.Value(),
-		CacheDeduped:         s.deduped.Value(),
+		Simulations:          s.runs.Value(),
+		CacheHits:            s.results[cacheHit].Value(),
+		CacheMisses:          s.results[cacheMiss].Value(),
+		CacheDeduped:         s.results[cacheDeduped].Value(),
 		CacheEntries:         s.cache.len(),
-		CompileCacheHits:     s.compileHits.Value(),
-		CompileCacheMisses:   s.compileMisses.Value(),
-		CompileCacheDeduped:  s.compileDeduped.Value(),
+		CompileCacheHits:     s.compiles[cacheHit].Value(),
+		CompileCacheMisses:   s.compiles[cacheMiss].Value(),
+		CompileCacheDeduped:  s.compiles[cacheDeduped].Value(),
 		CompileCacheEntries:  s.artifacts.len(),
 		MachinePoolHits:      s.pool.hits.Value(),
 		MachinePoolResets:    s.pool.resets.Value(),
 		MachinePoolNews:      s.pool.news.Value(),
 		MachinePoolIdle:      s.pool.size(),
-		BatchedRuns:          s.batch.batched.Value(),
 		SelectStatic:         s.selectStatic.Value(),
 		SelectEscalated:      s.selectEscalated.Value(),
 		SelectReselected:     s.selectRechecks.Value(),
@@ -357,8 +362,8 @@ func (s *Server) Metrics() MetricsSnapshot {
 		ShedCachedRead:       s.adm.shed[admCachedRead].Value(),
 		Errors:               s.errorsN.Value(),
 		Canceled:             s.canceled.Value(),
-		QueueDepth:           s.batch.queued.Value(),
-		InFlight:             s.batch.running.Value(),
+		QueueDepth:           s.queued.Value(),
+		InFlight:             s.running.Value(),
 		Latency:              map[string]stats.HistogramSnapshot{},
 	}
 	if total := m.CompileCacheHits + m.CompileCacheMisses + m.CompileCacheDeduped; total > 0 {
@@ -412,11 +417,26 @@ type MemStats struct {
 	Writebacks    int64 `json:"writebacks"`
 }
 
-func (s *Server) handleJob(w http.ResponseWriter, r *http.Request) {
-	req, deprecated, err := spec.DecodeJob(r.Body)
+// maxBodyBytes bounds a job request body: far above the largest valid job
+// (source programs are capped at 64 KiB by the frontend), small enough that
+// a runaway client cannot make the decoder buffer without limit.
+const maxBodyBytes = 1 << 20
+
+// decodeRequest is the front half shared by POST /v1/jobs and
+// /v1/validate: it decodes the bounded body, names deprecated spellings in
+// the X-Voltron-Deprecated header and normalizes the request. On failure it
+// writes the typed error response and returns nil.
+func (s *Server) decodeRequest(w http.ResponseWriter, r *http.Request) *JobRequest {
+	req, deprecated, err := spec.DecodeJob(http.MaxBytesReader(w, r.Body, maxBodyBytes))
 	if err != nil {
-		s.writeError(w, http.StatusBadRequest, fmt.Errorf("decoding request: %w", err))
-		return
+		var tooBig *http.MaxBytesError
+		if errors.As(err, &tooBig) {
+			s.writeError(w, http.StatusRequestEntityTooLarge, &spec.Error{Code: spec.ErrBadRequest,
+				Message: fmt.Sprintf("request body exceeds %d bytes", tooBig.Limit)})
+		} else {
+			s.writeError(w, http.StatusBadRequest, fmt.Errorf("decoding request: %w", err))
+		}
+		return nil
 	}
 	if len(deprecated) > 0 {
 		w.Header().Set("X-Voltron-Deprecated", strings.Join(deprecated, ", "))
@@ -426,6 +446,30 @@ func (s *Server) handleJob(w http.ResponseWriter, r *http.Request) {
 		return err == nil
 	}); err != nil {
 		s.writeError(w, http.StatusBadRequest, err)
+		return nil
+	}
+	return req
+}
+
+// resolve materializes a normalized job's program. Benchmarks come from the
+// suite, pre-built and pre-profiled; kernel and source programs build here
+// with a nil profile (the compiler profiles them).
+func (s *Server) resolve(req *JobRequest) (*ir.Program, *prof.Profile, error) {
+	if req.Program.Kind != spec.KindBench {
+		p, err := req.Program.Build()
+		return p, nil, err
+	}
+	p, err := s.suite.Program(req.Program.Bench)
+	if err != nil {
+		return nil, nil, err
+	}
+	pr, err := s.suite.Profile(req.Program.Bench)
+	return p, pr, err
+}
+
+func (s *Server) handleJob(w http.ResponseWriter, r *http.Request) {
+	req := s.decodeRequest(w, r)
+	if req == nil {
 		return
 	}
 	s.jobs.Inc()
@@ -448,14 +492,7 @@ func (s *Server) handleJob(w http.ResponseWriter, r *http.Request) {
 
 	startedAt := time.Now()
 	out, err := s.jobBody(ctx, req, key, r.Header.Get(forwardHeader) != "")
-	switch out.status {
-	case cacheHit:
-		s.hits.Inc()
-	case cacheMiss:
-		s.misses.Inc()
-	case cacheDeduped:
-		s.deduped.Inc()
-	}
+	s.results[out.status].Inc()
 	if err != nil {
 		s.errorsN.Inc()
 		switch {
@@ -536,36 +573,18 @@ type ValidateResponse struct {
 // reports the per-region plan the compiler would install. Nothing is
 // simulated and nothing enters the caches.
 func (s *Server) handleValidate(w http.ResponseWriter, r *http.Request) {
-	req, deprecated, err := spec.DecodeJob(r.Body)
+	req := s.decodeRequest(w, r)
+	if req == nil {
+		return
+	}
+	p, pr, err := s.resolve(req)
 	if err != nil {
-		s.writeError(w, http.StatusBadRequest, fmt.Errorf("decoding request: %w", err))
-		return
-	}
-	if len(deprecated) > 0 {
-		w.Header().Set("X-Voltron-Deprecated", strings.Join(deprecated, ", "))
-	}
-	if err := req.Normalize(func(b string) bool {
-		_, err := s.suite.Program(b)
-		return err == nil
-	}); err != nil {
-		s.writeError(w, http.StatusBadRequest, err)
-		return
-	}
-	var (
-		p  *ir.Program
-		pr *prof.Profile
-	)
-	if req.Program.Kind == spec.KindBench {
-		if p, err = s.suite.Program(req.Program.Bench); err != nil {
-			s.writeError(w, http.StatusInternalServerError, err)
-			return
+		status := http.StatusInternalServerError
+		var se *spec.Error
+		if errors.As(err, &se) {
+			status = http.StatusBadRequest // a program the frontend rejects
 		}
-		if pr, err = s.suite.Profile(req.Program.Bench); err != nil {
-			s.writeError(w, http.StatusInternalServerError, err)
-			return
-		}
-	} else if p, err = req.Program.Build(); err != nil {
-		s.writeError(w, http.StatusBadRequest, err)
+		s.writeError(w, status, err)
 		return
 	}
 	opts := req.CompilerOpts()
@@ -764,28 +783,15 @@ func (s *Server) runJob(ctx context.Context, req *JobRequest, key string) (*JobR
 // machine-latency ablations and baseline comparisons of the same program ×
 // strategy share one compiler.Compile, deduplicated in flight and cached
 // across jobs. Stage two executes the artifact on a pooled warm machine
-// under a bounded worker slot (the batcher); waiting for either stage
-// respects ctx, so a canceled request never occupies (or leaks) a slot.
+// under a bounded worker slot (run); waiting for either stage respects
+// ctx, so a canceled request never occupies (or leaks) a slot.
 // When the request asks for a trace, the returned tracer holds the run's
 // event stream. The returned cacheStatus says how stage one was satisfied
 // and the string how strategy selection decided the artifact
 // (core.SelectionSummary.Mode; "" when no selection ran).
 func (s *Server) simulate(ctx context.Context, req *JobRequest) (*core.RunResult, *trace.Tracer, cacheStatus, string, error) {
-	var (
-		p   *ir.Program
-		pr  *prof.Profile
-		err error
-	)
-	if req.Program.Kind == spec.KindBench {
-		// Benchmarks are pre-built and pre-profiled by the suite; kernel and
-		// source programs materialize here (the compiler profiles them).
-		if p, err = s.suite.Program(req.Program.Bench); err != nil {
-			return nil, nil, cacheMiss, "", err
-		}
-		if pr, err = s.suite.Profile(req.Program.Bench); err != nil {
-			return nil, nil, cacheMiss, "", err
-		}
-	} else if p, err = req.Program.Build(); err != nil {
+	p, pr, err := s.resolve(req)
+	if err != nil {
 		return nil, nil, cacheMiss, "", err
 	}
 
@@ -801,14 +807,7 @@ func (s *Server) simulate(ctx context.Context, req *JobRequest) (*core.RunResult
 		opts.Profile = pr // nil for inline programs: the compiler profiles them
 		return compiler.Compile(p, opts)
 	})
-	switch cstat {
-	case cacheHit:
-		s.compileHits.Inc()
-	case cacheMiss:
-		s.compileMisses.Inc()
-	case cacheDeduped:
-		s.compileDeduped.Inc()
-	}
+	s.compiles[cstat].Inc()
 	if err != nil {
 		return nil, nil, cstat, "", err
 	}
@@ -823,12 +822,7 @@ func (s *Server) simulate(ctx context.Context, req *JobRequest) (*core.RunResult
 	if req.Trace {
 		tr = trace.New()
 	}
-	res, err := s.batch.run(ctx, &runReq{
-		batch: ckey,
-		pool:  req.MachineKey(),
-		cfg:   req.MachineConfig(tr),
-		cp:    cp,
-	})
+	res, err := s.run(ctx, req, cp, tr)
 	if err != nil {
 		return nil, nil, cstat, cp.Selection.Mode, err
 	}
@@ -875,16 +869,39 @@ func (s *Server) recheck(ctx context.Context, req *JobRequest, p *ir.Program, pr
 	s.selectRechecks.Add(int64(len(reselected)))
 	s.artifacts.replace(ckey, cp2)
 	tr := trace.New()
-	res, err := s.batch.run(ctx, &runReq{
-		batch: ckey,
-		pool:  req.MachineKey(),
-		cfg:   req.MachineConfig(tr),
-		cp:    cp2,
-	})
+	res, err := s.run(ctx, req, cp2, tr)
 	if err != nil {
 		return nil, nil, nil, err
 	}
 	return cp2, res, tr, nil
+}
+
+// run executes a compiled artifact on a warm machine from the pool under
+// one of the Workers slots. Waiting for the slot respects ctx, so a
+// canceled request never occupies one; once running, the canceled ctx is
+// threaded into the simulator, which fails fast. There are no standing
+// worker goroutines: every run executes on its request handler's
+// goroutine, so draining HTTP handlers drains the slots and nothing leaks.
+func (s *Server) run(ctx context.Context, req *JobRequest, cp *core.CompiledProgram, tr *trace.Tracer) (*core.RunResult, error) {
+	s.queued.Add(1)
+	select {
+	case s.runSem <- struct{}{}:
+		s.queued.Add(-1)
+	case <-ctx.Done():
+		s.queued.Add(-1)
+		return nil, fmt.Errorf("waiting for a worker slot: %w", ctx.Err())
+	}
+	s.running.Add(1)
+	defer func() {
+		s.running.Add(-1)
+		<-s.runSem
+		s.runs.Inc()
+	}()
+	key := req.MachineKey()
+	m := s.pool.get(key, req.MachineConfig(tr))
+	res, err := m.RunContext(ctx, cp)
+	s.pool.put(key, m)
+	return res, err
 }
 
 // handleFigure regenerates one paper figure through the shared suite. The

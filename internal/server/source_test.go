@@ -193,6 +193,26 @@ func TestValidateBench(t *testing.T) {
 	}
 }
 
+// TestOversizedBodyRejected: both job-decoding endpoints bound the request
+// body and answer an oversized one with a typed 413 instead of buffering it.
+func TestOversizedBodyRejected(t *testing.T) {
+	_, ts := newTestServer(t, Config{})
+	body := `{"program": {"kind": "source", "source": "` + strings.Repeat(" ", maxBodyBytes) + `"}}`
+	for name, post := range map[string]func(*testing.T, *httptest.Server, string) (*http.Response, []byte){
+		"/v1/jobs": postJob, "/v1/validate": postValidate,
+	} {
+		resp, b := post(t, ts, body)
+		if resp.StatusCode != http.StatusRequestEntityTooLarge {
+			t.Errorf("%s: status = %d, want 413 (body %.200s)", name, resp.StatusCode, b)
+			continue
+		}
+		var er ErrorResponse
+		if err := json.Unmarshal(b, &er); err != nil || er.Code != spec.ErrBadRequest {
+			t.Errorf("%s: error body %s (decode err %v), want code %q", name, b, err, spec.ErrBadRequest)
+		}
+	}
+}
+
 // mustKey normalizes a raw job body into its content address.
 func mustKey(t *testing.T, body string) string {
 	t.Helper()

@@ -68,9 +68,6 @@ func TestCompileKeyIgnoresRunOnlyFields(t *testing.T) {
 		{Bench: "x", Trace: true},
 		{Bench: "x", Baseline: true},
 		{Bench: "x", Machine: MachineOptions{RegionSyncLat: 9, QueueBaseLat: 7, QueueCap: -1}},
-		// The mesh-shape knob changes the machine, not the compiled artifact
-		// (the compiler estimates latencies against the default mesh).
-		{Bench: "x", Machine: MachineOptions{MeshCols: 4}},
 	}
 	for _, r := range sameArtifact {
 		r = normalized(t, r)
@@ -80,6 +77,14 @@ func TestCompileKeyIgnoresRunOnlyFields(t *testing.T) {
 		if r.CompileKey() != base.CompileKey() {
 			t.Errorf("compile key fragments on a run-only field: %+v", r)
 		}
+	}
+	// The mesh-shape knob changes the machine, not the compiled artifact
+	// (the compiler estimates latencies against the default mesh). A 4-core
+	// strip only admits decoupled strategies, so this pair uses llp.
+	llp := normalized(t, &JobRequest{Bench: "x", Strategy: "llp"})
+	strip := normalized(t, &JobRequest{Bench: "x", Strategy: "llp", Machine: MachineOptions{MeshCols: 4}})
+	if strip.Key() == llp.Key() || strip.CompileKey() != llp.CompileKey() {
+		t.Errorf("mesh_cols must change the run key but not the compile key")
 	}
 	differentArtifact := []*JobRequest{
 		{Bench: "y"},
@@ -196,7 +201,7 @@ func TestMachineKeyGroupsPools(t *testing.T) {
 		{Bench: "x", Machine: MachineOptions{QueueBaseLat: 7}},
 		{Bench: "x", Machine: MachineOptions{QueueHopLat: 3}},
 		{Bench: "x", Machine: MachineOptions{QueueCap: -1}},
-		{Bench: "x", Machine: MachineOptions{MeshCols: 4}},
+		{Bench: "x", Strategy: "llp", Machine: MachineOptions{MeshCols: 4}},
 	}
 	seen := map[string]bool{base.MachineKey(): true}
 	for _, r := range differentPool {

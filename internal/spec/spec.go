@@ -16,6 +16,7 @@ import (
 	"crypto/sha256"
 	"encoding/hex"
 	"encoding/json"
+	"errors"
 	"flag"
 	"fmt"
 	"io"
@@ -155,7 +156,9 @@ type MachineOptions struct {
 	// MeshCols fixes the mesh column count (the mesh-shape ablation knob,
 	// e.g. comparing the near-square default against a 4-column strip).
 	// 0 means the near-square default; otherwise it must be in [4, cores]
-	// (narrower meshes would break coupled row-group adjacency).
+	// (narrower meshes would break coupled row-group adjacency). At 4 cores
+	// that leaves a 1×4 strip, which ilp and hybrid jobs cannot use: their
+	// coupled code is laid out for the default 2×2 mesh.
 	MeshCols int `json:"mesh_cols,omitempty"`
 }
 
@@ -190,6 +193,11 @@ type ProgramSpec struct {
 	// Normalize prunes entries equal to the declared default, so spelled
 	// and omitted defaults content-address identically.
 	Inputs map[string]int64 `json:"inputs,omitempty"`
+
+	// checked is the frontend's output for a source program, kept by
+	// Normalize so Build lowers it instead of parsing and checking again.
+	// Unexported, so it is never serialized and never part of a key.
+	checked *lang.Program
 }
 
 // KernelSpec is one region-generating kernel invocation. Unused parameters
@@ -317,6 +325,11 @@ func (r *JobRequest) Normalize(known func(bench string) bool) error {
 	if mc := r.Machine.MeshCols; mc != 0 && (mc < 4 || mc > r.Cores) {
 		return errf(ErrBadSpec, "mesh_cols = %d out of range (0 for the near-square default, or [4, cores])", mc)
 	}
+	if r.Cores == 4 && r.Machine.MeshCols == 4 && (r.Strategy == "ilp" || r.Strategy == "hybrid") {
+		// On the strip, coupled code's direct-mode transfers would leave the
+		// mesh ("xnet: PUT off mesh edge").
+		return errf(ErrBadSpec, "mesh_cols = 4 at 4 cores (a 1x4 strip) cannot run coupled %s code, which is laid out for the 2x2 mesh", r.Strategy)
+	}
 	if r.Compiler.StaticSelection {
 		// Deprecated alias: fold into the canonical field so both spellings
 		// normalize — and content-address — identically.
@@ -439,11 +452,9 @@ func (p *ProgramSpec) normalizeKernels() error {
 func (p *ProgramSpec) normalizeSource() error {
 	lp, err := lang.Frontend(p.Source, p.Inputs)
 	if err != nil {
-		if le, ok := err.(*lang.Error); ok {
-			return &Error{Code: ErrBadSource, Message: le.Error(), Diagnostics: le.Diags}
-		}
-		return errf(ErrBadSource, "%v", err)
+		return sourceError(err)
 	}
+	p.checked = lp
 	defaults := lp.Defaults()
 	for name, v := range p.Inputs {
 		if def, ok := defaults[name]; ok && def == v {
@@ -456,18 +467,31 @@ func (p *ProgramSpec) normalizeSource() error {
 	return nil
 }
 
+// sourceError turns a frontend failure into the typed bad_source error,
+// carrying the structured diagnostics when the frontend produced them.
+func sourceError(err error) *Error {
+	if le, ok := err.(*lang.Error); ok {
+		return &Error{Code: ErrBadSource, Message: le.Error(), Diagnostics: le.Diags}
+	}
+	return errf(ErrBadSource, "%v", err)
+}
+
 // Build materializes a normalized kernels or source spec as an IR program.
-// Bench programs resolve through the server's suite instead (they are
-// pre-built and pre-profiled there), so Build rejects them.
+// A source program lowers the program Normalize already checked, so the
+// frontend runs once per job; Build fails on a source spec that was never
+// normalized. Lowering only reads the checked program, so copies of one
+// request may Build concurrently. Bench programs resolve through the
+// server's suite instead (they are pre-built and pre-profiled there), so
+// Build rejects them.
 func (p *ProgramSpec) Build() (*ir.Program, error) {
 	switch p.Kind {
 	case KindSource:
-		prog, err := lang.Compile(p.Source, p.Name, p.Inputs)
+		if p.checked == nil {
+			return nil, errors.New("spec: Build needs a normalized source program")
+		}
+		prog, err := p.checked.Lower(p.Name)
 		if err != nil {
-			if le, ok := err.(*lang.Error); ok {
-				return nil, &Error{Code: ErrBadSource, Message: le.Error(), Diagnostics: le.Diags}
-			}
-			return nil, errf(ErrBadSource, "%v", err)
+			return nil, sourceError(err)
 		}
 		return prog, nil
 	case KindKernels, "":

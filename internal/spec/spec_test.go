@@ -2,7 +2,11 @@ package spec
 
 import (
 	"strings"
+	"sync"
 	"testing"
+
+	"voltron/internal/ir"
+	"voltron/internal/lang"
 )
 
 func TestDecodeJobAliases(t *testing.T) {
@@ -48,6 +52,58 @@ func TestKeySeparatesTrace(t *testing.T) {
 	}
 	if a.Key() == b.Key() {
 		t.Error("traced and untraced jobs share a key")
+	}
+}
+
+// TestBuildLowersCheckedSource: Normalize keeps the frontend's checked
+// program and Build lowers it, producing the same IR as a from-scratch
+// lang.Compile. Copies of one request (a job and its baseline) share the
+// checked program, so concurrent Builds must be race-free (run with -race).
+func TestBuildLowersCheckedSource(t *testing.T) {
+	const src = "param n = 16;\nvar acc int = 0;\narray out[n] int;\nfunc main() {\n\tfor i = 0; i < n; i = i + 1 {\n\t\tout[i] = i * 3;\n\t\tacc = acc + out[i];\n\t}\n}\n"
+	req := &JobRequest{Program: &ProgramSpec{Kind: KindSource, Name: "p", Source: src, Inputs: map[string]int64{"n": 32}}}
+	if err := req.Normalize(func(string) bool { return false }); err != nil {
+		t.Fatal(err)
+	}
+	if req.Program.checked == nil {
+		t.Fatal("Normalize did not keep the checked program")
+	}
+	dump := func(p *ir.Program) string {
+		var b strings.Builder
+		for _, r := range p.Regions {
+			b.WriteString(r.Name + "\n")
+			for _, o := range r.AllOps() {
+				b.WriteString(o.String() + "\n")
+			}
+		}
+		return b.String()
+	}
+	ref, err := lang.Compile(src, "p", map[string]int64{"n": 32})
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := dump(ref)
+	var wg sync.WaitGroup
+	for i := 0; i < 4; i++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			base := *req
+			base.Strategy, base.Cores = "serial", 1
+			p, err := base.Program.Build()
+			if err != nil {
+				t.Error(err)
+				return
+			}
+			if got := dump(p); got != want {
+				t.Errorf("Build lowered different IR than lang.Compile:\n%s\nwant:\n%s", got, want)
+			}
+		}()
+	}
+	wg.Wait()
+	raw := &ProgramSpec{Kind: KindSource, Name: "p", Source: src}
+	if _, err := raw.Build(); err == nil {
+		t.Error("Build of a source spec that was never normalized succeeded")
 	}
 }
 

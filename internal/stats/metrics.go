@@ -97,7 +97,9 @@ type HistogramSnapshot struct {
 }
 
 // Snapshot returns a consistent copy of the histogram. Quantiles are
-// upper-bound estimates: the bound of the bucket containing the quantile.
+// upper-bound estimates — the bound of the bucket containing the quantile —
+// clamped to the observed [min, max], so no quantile exceeds the slowest
+// observation.
 func (h *Histogram) Snapshot() HistogramSnapshot {
 	h.mu.Lock()
 	counts := h.counts
@@ -111,9 +113,10 @@ func (h *Histogram) Snapshot() HistogramSnapshot {
 			s.Buckets = append(s.Buckets, HistBucket{LeUS: bucketBound(i), Count: n})
 		}
 	}
-	s.P50US = quantileBound(counts[:], s.Count, 0.50)
-	s.P90US = quantileBound(counts[:], s.Count, 0.90)
-	s.P99US = quantileBound(counts[:], s.Count, 0.99)
+	q := func(p float64) int64 {
+		return min(max(quantileBound(counts[:], s.Count, p), s.MinUS), s.MaxUS)
+	}
+	s.P50US, s.P90US, s.P99US = q(0.50), q(0.90), q(0.99)
 	return s
 }
 

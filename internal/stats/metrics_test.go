@@ -67,6 +67,23 @@ func TestHistogramSnapshot(t *testing.T) {
 	if s.MeanUS != wantMean {
 		t.Errorf("mean = %f, want %f", s.MeanUS, wantMean)
 	}
+	// Quantiles are clamped to the observed range: a tail that lands in the
+	// (8192, 16384] bucket reports its max, not the bucket bound, while an
+	// in-range bound (p50: 128) stands; a single-valued histogram reports
+	// that value at every quantile.
+	var tail Histogram
+	for i := 0; i < 10; i++ {
+		tail.Observe(100 * time.Microsecond)
+	}
+	tail.Observe(9 * time.Millisecond)
+	if s := tail.Snapshot(); s.P50US != 128 || s.P99US != 9000 {
+		t.Errorf("p50/p99 = %d/%d, want 128/9000", s.P50US, s.P99US)
+	}
+	var one Histogram
+	one.Observe(3 * time.Microsecond)
+	if s := one.Snapshot(); s.P50US != 3 || s.P90US != 3 || s.P99US != 3 {
+		t.Errorf("single-value quantiles = %d/%d/%d, want 3/3/3", s.P50US, s.P90US, s.P99US)
+	}
 }
 
 func TestHistogramConcurrent(t *testing.T) {

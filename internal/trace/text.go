@@ -6,11 +6,10 @@ import (
 	"io"
 )
 
-// WriteText renders the stream in the machine's legacy debugging format:
-// one line per issued instruction plus region transition headers, exactly
-// as the old core.Config.Trace io.Writer produced them. The format is a
-// renderer over the structured stream now — the simulator no longer
-// formats text on its hot path.
+// WriteText renders the stream in the machine's text debugging format: one
+// line per issued instruction plus region transition headers. It is a
+// renderer over the structured stream; the simulator formats no text on
+// its hot path.
 func (t *Tracer) WriteText(w io.Writer) error {
 	bw := bufio.NewWriter(w)
 	for i := range t.Events {
