@@ -3,7 +3,11 @@ package server
 import (
 	"container/list"
 	"context"
+	"fmt"
 	"sync"
+
+	"voltron/internal/spec"
+	"voltron/internal/stats"
 )
 
 // cacheStatus classifies how a lookup was satisfied.
@@ -42,6 +46,8 @@ type sfCache[V any] struct {
 	max     int
 	entries map[string]*sfEntry[V]
 	lru     list.List // completed entries, front = most recently used
+	// panics counts computations that panicked (contained by get).
+	panics stats.Counter
 }
 
 type sfEntry[V any] struct {
@@ -67,7 +73,9 @@ func newCache(max int) *cache { return newSFCache[[]byte](max) }
 // claimant aborts its waiters with the same error, and the next identical
 // request starts fresh). A waiter whose own ctx is canceled stops waiting
 // and returns its ctx error; the in-flight computation continues for the
-// other waiters.
+// other waiters. A panic in fn is contained the same way: the entry is
+// removed and the claimant and its waiters fail with a typed
+// spec.ErrInternal error instead of the key staying in flight forever.
 func (c *sfCache[V]) get(ctx context.Context, key string, fn func() (V, error)) (V, cacheStatus, error) {
 	var zero V
 	c.mu.Lock()
@@ -92,7 +100,7 @@ func (c *sfCache[V]) get(ctx context.Context, key string, fn func() (V, error)) 
 	c.entries[key] = e
 	c.mu.Unlock()
 
-	e.val, e.err = fn()
+	e.val, e.err = c.compute(key, fn)
 	c.mu.Lock()
 	if e.err != nil {
 		delete(c.entries, key)
@@ -109,6 +117,18 @@ func (c *sfCache[V]) get(ctx context.Context, key string, fn func() (V, error)) 
 		return zero, cacheMiss, e.err
 	}
 	return e.val, cacheMiss, nil
+}
+
+// compute runs fn, turning a panic into a typed internal error.
+func (c *sfCache[V]) compute(key string, fn func() (V, error)) (val V, err error) {
+	defer func() {
+		if p := recover(); p != nil {
+			c.panics.Inc()
+			var zero V
+			val, err = zero, &spec.Error{Code: spec.ErrInternal, Message: fmt.Sprintf("computing %s panicked: %v", key, p)}
+		}
+	}()
+	return fn()
 }
 
 // replace swaps the completed value cached under key for a new one (the
@@ -137,14 +157,19 @@ func (c *sfCache[V]) replace(key string, val V) {
 	}
 }
 
-// peek reports whether a completed value is cached under key, without
-// claiming, waiting, or touching LRU order. Admission control uses it to
-// classify a request as a cached read before deciding whether to admit it.
-func (c *sfCache[V]) peek(key string) bool {
+// completed returns the value cached under key when its computation has
+// completed, marking it most recently used. It never claims or waits: a
+// missing or in-flight entry reports false.
+func (c *sfCache[V]) completed(key string) (V, bool) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	e, ok := c.entries[key]
-	return ok && e.elem != nil
+	if !ok || e.elem == nil {
+		var zero V
+		return zero, false
+	}
+	c.lru.MoveToFront(e.elem)
+	return e.val, true
 }
 
 // len reports the number of completed cached entries.
@@ -154,49 +179,51 @@ func (c *sfCache[V]) len() int {
 	return c.lru.Len()
 }
 
-// blobStore is a bounded LRU of immutable rendered blobs (trace JSON),
-// keyed by job content address. Unlike cache it has no singleflight: blobs
-// are stored as a side effect of a job computing, never computed on read.
-type blobStore struct {
+// lru is a bounded LRU map with no singleflight: values are stored as a
+// side effect of other work, never computed on read. The server uses it
+// twice — as the rendered-trace store (job content key → Chrome trace JSON)
+// and as the request memo (body digest → content key, see handleJob).
+type lru[K comparable, V any] struct {
 	mu      sync.Mutex
 	max     int
-	entries map[string]*list.Element
-	lru     list.List // of blobEntry, front = most recently used
+	entries map[K]*list.Element
+	order   list.List // of *lruEntry, front = most recently used
 }
 
-type blobEntry struct {
-	key string
-	val []byte
+type lruEntry[K comparable, V any] struct {
+	key K
+	val V
 }
 
-func newBlobStore(max int) *blobStore {
-	return &blobStore{max: max, entries: map[string]*list.Element{}}
+func newLRU[K comparable, V any](max int) *lru[K, V] {
+	return &lru[K, V]{max: max, entries: map[K]*list.Element{}}
 }
 
-// put stores a blob (overwriting any previous value for key).
-func (b *blobStore) put(key string, val []byte) {
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	if el, ok := b.entries[key]; ok {
-		el.Value.(*blobEntry).val = val
-		b.lru.MoveToFront(el)
+// put stores val under key (overwriting any previous value).
+func (c *lru[K, V]) put(key K, val V) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	if el, ok := c.entries[key]; ok {
+		el.Value.(*lruEntry[K, V]).val = val
+		c.order.MoveToFront(el)
 		return
 	}
-	b.entries[key] = b.lru.PushFront(&blobEntry{key: key, val: val})
-	for b.lru.Len() > b.max {
-		old := b.lru.Remove(b.lru.Back()).(*blobEntry)
-		delete(b.entries, old.key)
+	c.entries[key] = c.order.PushFront(&lruEntry[K, V]{key: key, val: val})
+	for c.order.Len() > c.max {
+		old := c.order.Remove(c.order.Back()).(*lruEntry[K, V])
+		delete(c.entries, old.key)
 	}
 }
 
-// get returns the blob for key, if still resident.
-func (b *blobStore) get(key string) ([]byte, bool) {
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	el, ok := b.entries[key]
+// get returns the value for key, if still resident.
+func (c *lru[K, V]) get(key K) (V, bool) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	el, ok := c.entries[key]
 	if !ok {
-		return nil, false
+		var zero V
+		return zero, false
 	}
-	b.lru.MoveToFront(el)
-	return el.Value.(*blobEntry).val, true
+	c.order.MoveToFront(el)
+	return el.Value.(*lruEntry[K, V]).val, true
 }

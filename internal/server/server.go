@@ -11,6 +11,7 @@ package server
 import (
 	"bytes"
 	"context"
+	"crypto/sha256"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -39,7 +40,8 @@ type Config struct {
 	// runtime.GOMAXPROCS(0). Requests beyond the bound queue (their wait
 	// shows up as the queue_depth metric).
 	Workers int
-	// CacheEntries bounds the completed-result LRU. Defaults to 256.
+	// CacheEntries bounds the completed-result LRU, and the request memo
+	// in front of it (body digest → content key). Defaults to 256.
 	CacheEntries int
 	// RequestTimeout bounds one job (queue wait + compile + simulate).
 	// Defaults to 2 minutes.
@@ -90,8 +92,11 @@ type Server struct {
 	suite     *exp.Suite
 	cache     *cache
 	artifacts *sfCache[*core.CompiledProgram]
-	traces    *blobStore
+	traces    *lru[string, []byte]
 	pool      *machinePool
+	// memo maps the SHA-256 of a /v1/jobs body to its normalized content
+	// key, so a result-cache hit skips decode and normalize (handleJob).
+	memo *lru[[sha256.Size]byte, memoEntry]
 	// runSem bounds concurrent simulations (Config.Workers); compileSem
 	// bounds concurrent compilations separately, so a compile cannot starve
 	// runs of the warm machines it feeds.
@@ -176,7 +181,8 @@ func New(cfg Config) *Server {
 		suite:      cfg.Suite,
 		cache:      newCache(cfg.CacheEntries),
 		artifacts:  newSFCache[*core.CompiledProgram](cfg.ArtifactEntries),
-		traces:     newBlobStore(cfg.TraceEntries),
+		traces:     newLRU[string, []byte](cfg.TraceEntries),
+		memo:       newLRU[[sha256.Size]byte, memoEntry](cfg.CacheEntries),
 		pool:       newMachinePool(poolPerKey),
 		runSem:     make(chan struct{}, cfg.Workers),
 		compileSem: make(chan struct{}, cfg.Workers),
@@ -325,6 +331,9 @@ type MetricsSnapshot struct {
 	QueueDepth           int64                              `json:"queue_depth"`
 	InFlight             int64                              `json:"in_flight"`
 	Latency              map[string]stats.HistogramSnapshot `json:"latency_by_strategy"`
+	// Panics counts result or compile computations that panicked; each
+	// failed its request (and any identical waiters) with code "internal".
+	Panics int64 `json:"panics_total"`
 }
 
 // Metrics returns a point-in-time snapshot of the service counters.
@@ -361,6 +370,7 @@ func (s *Server) Metrics() MetricsSnapshot {
 		ShedSimulate:         s.adm.shed[admSimulate].Value(),
 		ShedCachedRead:       s.adm.shed[admCachedRead].Value(),
 		Errors:               s.errorsN.Value(),
+		Panics:               s.cache.panics.Value() + s.artifacts.panics.Value(),
 		Canceled:             s.canceled.Value(),
 		QueueDepth:           s.queued.Value(),
 		InFlight:             s.running.Value(),
@@ -422,33 +432,49 @@ type MemStats struct {
 // a runaway client cannot make the decoder buffer without limit.
 const maxBodyBytes = 1 << 20
 
-// decodeRequest is the front half shared by POST /v1/jobs and
-// /v1/validate: it decodes the bounded body, names deprecated spellings in
-// the X-Voltron-Deprecated header and normalizes the request. On failure it
-// writes the typed error response and returns nil.
-func (s *Server) decodeRequest(w http.ResponseWriter, r *http.Request) *JobRequest {
-	req, deprecated, err := spec.DecodeJob(http.MaxBytesReader(w, r.Body, maxBodyBytes))
-	if err != nil {
+// readBody reads the request body once, bounded by maxBodyBytes. An
+// oversized body gets the typed 413 and any other read failure a 400; on
+// failure the response is written and ok is false.
+func (s *Server) readBody(w http.ResponseWriter, r *http.Request) (body []byte, ok bool) {
+	var buf bytes.Buffer
+	if n := r.ContentLength; n > 0 && n <= maxBodyBytes {
+		buf.Grow(int(n) + bytes.MinRead) // one allocation; ReadFrom wants MinRead spare
+	}
+	if _, err := buf.ReadFrom(http.MaxBytesReader(w, r.Body, maxBodyBytes)); err != nil {
 		var tooBig *http.MaxBytesError
 		if errors.As(err, &tooBig) {
 			s.writeError(w, http.StatusRequestEntityTooLarge, &spec.Error{Code: spec.ErrBadRequest,
 				Message: fmt.Sprintf("request body exceeds %d bytes", tooBig.Limit)})
 		} else {
-			s.writeError(w, http.StatusBadRequest, fmt.Errorf("decoding request: %w", err))
+			s.writeError(w, http.StatusBadRequest, fmt.Errorf("reading request: %w", err))
 		}
-		return nil
+		return nil, false
 	}
-	if len(deprecated) > 0 {
-		w.Header().Set("X-Voltron-Deprecated", strings.Join(deprecated, ", "))
+	return buf.Bytes(), true
+}
+
+// decodeRequest is the front half shared by POST /v1/jobs and
+// /v1/validate: it decodes the body, names deprecated spellings in the
+// X-Voltron-Deprecated header (also returned, joined) and normalizes the
+// request. On failure it writes the typed error response and returns nil.
+func (s *Server) decodeRequest(w http.ResponseWriter, body []byte) (*JobRequest, string) {
+	req, deprecated, err := spec.DecodeJob(bytes.NewReader(body))
+	if err != nil {
+		s.writeError(w, http.StatusBadRequest, fmt.Errorf("decoding request: %w", err))
+		return nil, ""
+	}
+	dep := strings.Join(deprecated, ", ")
+	if dep != "" {
+		w.Header().Set("X-Voltron-Deprecated", dep)
 	}
 	if err := req.Normalize(func(b string) bool {
 		_, err := s.suite.Program(b)
 		return err == nil
 	}); err != nil {
 		s.writeError(w, http.StatusBadRequest, err)
-		return nil
+		return nil, ""
 	}
-	return req
+	return req, dep
 }
 
 // resolve materializes a normalized job's program. Benchmarks come from the
@@ -467,18 +493,54 @@ func (s *Server) resolve(req *JobRequest) (*ir.Program, *prof.Profile, error) {
 	return p, pr, err
 }
 
+// memoEntry is what the request memo keeps per body digest: the normalized
+// job's content key, its strategy (the latency histogram's label) and its
+// deprecation header. Never the *JobRequest: a source request would pin its
+// checked AST for as long as the entry lives.
+type memoEntry struct {
+	key, strategy, deprecated string
+}
+
+// handleJob runs one job. A result-cache hit costs a SHA-256 of the body
+// and two lookups: the memo maps the digest of bytes seen before to their
+// content key, and a completed result for that key is served without
+// decoding, normalizing (for source programs, running the frontend) or
+// hashing the canonical form. Decode and normalize are a pure function of
+// the bytes and the fixed benchmark set, so the memo never names a key the
+// decode would not. Unknown bytes, or a key whose result was evicted or is
+// still in flight, are decoded and normalized, which records the memo entry
+// (errors are never memoized), and the result is looked up the same way.
 func (s *Server) handleJob(w http.ResponseWriter, r *http.Request) {
-	req := s.decodeRequest(w, r)
-	if req == nil {
+	body, ok := s.readBody(w, r)
+	if !ok {
 		return
+	}
+	digest := sha256.Sum256(body)
+	var req *JobRequest // decoded only when the memo cannot answer
+	m, cached := s.memo.get(digest)
+	var hit []byte
+	if cached {
+		hit, cached = s.cache.completed(m.key)
+	}
+	if cached {
+		if m.deprecated != "" {
+			w.Header().Set("X-Voltron-Deprecated", m.deprecated)
+		}
+	} else {
+		var dep string
+		if req, dep = s.decodeRequest(w, body); req == nil {
+			return
+		}
+		m = memoEntry{key: req.Key(), strategy: req.Strategy, deprecated: dep}
+		s.memo.put(digest, m)
+		hit, cached = s.cache.completed(m.key)
 	}
 	s.jobs.Inc()
 	// Admission: classify by expected cost — a completed local cache entry
 	// makes this a cached read (microseconds), anything else may compile and
 	// simulate — and shed with a typed 429 when the class is at its bound.
-	key := req.Key()
 	class := admSimulate
-	if s.cache.peek(key) {
+	if cached {
 		class = admCachedRead
 	}
 	release, depth, ok := s.adm.admit(class)
@@ -487,11 +549,14 @@ func (s *Server) handleJob(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	defer release()
-	ctx, cancel := context.WithTimeout(r.Context(), s.cfg.RequestTimeout)
-	defer cancel()
-
 	startedAt := time.Now()
-	out, err := s.jobBody(ctx, req, key, r.Header.Get(forwardHeader) != "")
+	out := jobOutcome{body: hit, status: cacheHit}
+	var err error
+	if !cached {
+		ctx, cancel := context.WithTimeout(r.Context(), s.cfg.RequestTimeout)
+		out, err = s.jobBody(ctx, req, m.key, r.Header.Get(forwardHeader) != "")
+		cancel()
+	}
 	s.results[out.status].Inc()
 	if err != nil {
 		s.errorsN.Inc()
@@ -509,7 +574,7 @@ func (s *Server) handleJob(w http.ResponseWriter, r *http.Request) {
 		}
 		return
 	}
-	s.latency[req.Strategy].Observe(time.Since(startedAt))
+	s.latency[m.strategy].Observe(time.Since(startedAt))
 	w.Header().Set("Content-Type", "application/json")
 	cacheHdr := out.status.String()
 	if out.peer != "" {
@@ -573,7 +638,11 @@ type ValidateResponse struct {
 // reports the per-region plan the compiler would install. Nothing is
 // simulated and nothing enters the caches.
 func (s *Server) handleValidate(w http.ResponseWriter, r *http.Request) {
-	req := s.decodeRequest(w, r)
+	body, ok := s.readBody(w, r)
+	if !ok {
+		return
+	}
+	req, _ := s.decodeRequest(w, body)
 	if req == nil {
 		return
 	}

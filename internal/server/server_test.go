@@ -207,6 +207,7 @@ func TestBadRequests(t *testing.T) {
 		{"unknown kernel kind", `{"program": {"name": "p", "kernels": [{"kind": "quantum", "name": "q"}]}}`},
 		{"oversized kernel", `{"program": {"name": "p", "kernels": [{"kind": "doall-map", "name": "m", "n": 1048576}]}}`},
 		{"duplicate kernel name", `{"program": {"name": "p", "kernels": [{"kind": "branchy", "name": "b"}, {"kind": "branchy", "name": "b"}]}}`},
+		{"trailing data", `{"program": {"kind": "bench", "bench": "cjpeg"}} {"junk": true} garbage`},
 	}
 	for _, c := range cases {
 		resp, body := postJob(t, ts, c.body)

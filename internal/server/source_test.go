@@ -150,7 +150,7 @@ func TestValidateSource(t *testing.T) {
 		}
 	}
 	// Nothing simulated, nothing cached: the identical job still misses.
-	if s.cache.peek(mustKey(t, sourceJob(""))) {
+	if _, ok := s.cache.completed(mustKey(t, sourceJob(""))); ok {
 		t.Error("validate populated the result cache")
 	}
 }

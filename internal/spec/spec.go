@@ -634,16 +634,23 @@ type jobAliases struct {
 // deprecated spellings: the field aliases "benchmark" (for "bench") and
 // "mode" (for "strategy"), the v1 top-level "bench" (now the bench-kind
 // member of the program union), and a kind-less kernel program (v1 had no
-// tag). Unknown fields are rejected. The returned slice names the
-// deprecated spellings the request used, for a deprecation response header;
-// Normalize canonicalizes them away so every spelling shares one content
-// address.
+// tag). Unknown fields are rejected, and so is anything but whitespace
+// after the job object. The returned slice names the deprecated spellings
+// the request used, for a deprecation response header; Normalize
+// canonicalizes them away so every spelling shares one content address.
 func DecodeJob(r io.Reader) (*JobRequest, []string, error) {
 	var in jobAliases
 	dec := json.NewDecoder(r)
 	dec.DisallowUnknownFields()
 	if err := dec.Decode(&in); err != nil {
 		return nil, nil, err
+	}
+	if _, err := dec.Token(); err != io.EOF {
+		var syn *json.SyntaxError
+		if err != nil && !errors.As(err, &syn) {
+			return nil, nil, err // the reader failed, not the body
+		}
+		return nil, nil, errf(ErrBadRequest, "unexpected data after the job object")
 	}
 	var deprecated []string
 	if in.Benchmark != "" {

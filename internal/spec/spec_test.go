@@ -1,6 +1,7 @@
 package spec
 
 import (
+	"errors"
 	"strings"
 	"sync"
 	"testing"
@@ -36,6 +37,23 @@ func TestDecodeJobAliases(t *testing.T) {
 	}
 	if _, _, err := DecodeJob(strings.NewReader(`{"bogus": 1}`)); err == nil {
 		t.Error("unknown field was accepted")
+	}
+}
+
+// TestDecodeJobRejectsTrailingData: a body is exactly one job object.
+// Anything after it but whitespace — a second object, garbage — is a typed
+// bad_request, not silently ignored.
+func TestDecodeJobRejectsTrailingData(t *testing.T) {
+	const job = `{"program": {"kind": "bench", "bench": "cjpeg"}}`
+	for _, tail := range []string{` {"junk": true} garbage`, ` {}`, `x`, ` ]`, ` "s"`} {
+		_, _, err := DecodeJob(strings.NewReader(job + tail))
+		var se *Error
+		if !errors.As(err, &se) || se.Code != ErrBadRequest {
+			t.Errorf("trailing %q: err = %v, want a %s error", tail, err, ErrBadRequest)
+		}
+	}
+	if _, _, err := DecodeJob(strings.NewReader(" " + job + " \n\t ")); err != nil {
+		t.Errorf("surrounding whitespace rejected: %v", err)
 	}
 }
 
