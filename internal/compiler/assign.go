@@ -130,9 +130,13 @@ func sanitize(r *ir.Region, a Assignment) Assignment {
 				}
 			}
 		}
+		if len(memOps) < 2 {
+			continue
+		}
+		ctx := r.NewAffineCtx(l)
 		for i, x := range memOps {
 			for _, y := range memOps[i+1:] {
-				switch r.MemDep(x, y, l, nil) {
+				switch r.MemDep(x, y, l, ctx) {
 				case ir.MemCarriedDep, ir.MemBothDep:
 					union(x, y)
 				}

@@ -85,8 +85,9 @@ func EBUG(r *ir.Region, opts Options) Assignment {
 // iteration (same array, same affine stride, offsets within a line):
 // splitting them across cores would ping-pong the line through the
 // coherence protocol every iteration (false sharing), so the partitioner
-// pins each group to one core.
-func lineGroups(r *ir.Region) map[*ir.Op]*ir.Op {
+// pins each group to one core. line is the caller's straight-line affine
+// context, used for stores outside every loop.
+func lineGroups(r *ir.Region, line *ir.AffineCtx) map[*ir.Op]*ir.Op {
 	leader := map[*ir.Op]*ir.Op{}
 	var loops []*ir.Loop
 	loops = r.Loops()
@@ -110,7 +111,7 @@ func lineGroups(r *ir.Region) map[*ir.Op]*ir.Op {
 	const lineBytes = 64
 	// One derivation context per loop: building a context walks the whole
 	// region, and this pairwise scan issues O(stores²) queries.
-	ctxs := map[*ir.Loop]*ir.AffineCtx{}
+	ctxs := map[*ir.Loop]*ir.AffineCtx{nil: line}
 	ctxFor := func(l *ir.Loop) *ir.AffineCtx {
 		c, ok := ctxs[l]
 		if !ok {
@@ -163,7 +164,9 @@ func bugPartition(r *ir.Region, p bugParams) Assignment {
 	if p.cores <= 1 {
 		return uniform(r, 0)
 	}
-	groups := lineGroups(r)
+	// One straight-line affine context serves every block's DFG.
+	ctx := r.NewAffineCtx(nil)
+	groups := lineGroups(r, ctx)
 	groupCore := map[*ir.Op]int{}
 	// home tracks which core owns each value's latest def.
 	home := map[ir.Value]int{}
@@ -177,7 +180,7 @@ func bugPartition(r *ir.Region, p bugParams) Assignment {
 		return p.missRate[o] > p.missThreshold
 	}
 	for _, b := range r.ReversePostorder() {
-		dfg := r.BuildBlockDFG(b)
+		dfg := r.BuildBlockDFG(b, ctx)
 		// estimated completion time of each scheduled op, and per-core
 		// next-free slot, within this block.
 		done := map[*ir.Op]int{}

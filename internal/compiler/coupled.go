@@ -138,6 +138,9 @@ type coupledGen struct {
 	top   xnet.Topology
 	defs  map[ir.Value][]*ir.Op
 	rpo   []*ir.Block
+	// ctx is the lowering's one straight-line affine context, shared by
+	// every block's DFG.
+	ctx *ir.AffineCtx
 	// needOn[v][c]: core c consumes v as a regular operand.
 	needOn map[ir.Value]map[int]bool
 }
@@ -179,6 +182,7 @@ func GenCoupled(r *ir.Region, a Assignment, width int) (*core.CompiledRegion, er
 	g := &coupledGen{
 		r: r, a: a, width: width,
 		top:    xnet.TopologyFor(width),
+		ctx:    r.NewAffineCtx(nil),
 		defs:   map[ir.Value][]*ir.Op{},
 		needOn: map[ir.Value]map[int]bool{},
 	}
@@ -256,7 +260,7 @@ func (g *coupledGen) scheduleBlock(b, next *ir.Block) (*slotGrid, error) {
 		}
 		start = cycle
 	}
-	dfg := g.r.BuildBlockDFG(b)
+	dfg := g.r.BuildBlockDFG(b, g.ctx)
 	// sched holds each placed op copy's issue cycle per executing core.
 	sched := map[*ir.Op]map[int]int{}
 	readyOn := map[ir.Value]map[int]int{} // cycle v becomes usable per core

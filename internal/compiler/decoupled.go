@@ -66,6 +66,17 @@ type decoupledGen struct {
 	msgOrder map[*ir.Block]map[*message]int
 	// defsOf per value.
 	defs map[ir.Value][]*ir.Op
+	// users[v] lists the ops reading v, each once; isCond[v] marks values
+	// some block branches on. Which cores run those ops is read from the
+	// assignment at query time, so the index stays valid while
+	// rematerialize replicates ops.
+	users  [][]*ir.Op
+	isCond []bool
+	// ctx is the lowering's one straight-line affine context; dfgs holds
+	// each block's DFG by block ID, built on first use and shared by
+	// orderMessages and every core's blockBody.
+	ctx  *ir.AffineCtx
+	dfgs []*ir.BlockDFG
 	// scratch register indices.
 	zeroReg  isa.Reg
 	tokenReg isa.Reg
@@ -91,13 +102,29 @@ func genDecoupled(r *ir.Region, a Assignment, width int, forcePredSend bool) (*c
 	a = sanitize(r, a)
 	g := &decoupledGen{
 		r: r, a: a, width: width,
-		rpo:  r.ReversePostorder(),
-		msgs: map[*ir.Block][]*message{},
-		defs: map[ir.Value][]*ir.Op{},
+		rpo:    r.ReversePostorder(),
+		msgs:   map[*ir.Block][]*message{},
+		defs:   map[ir.Value][]*ir.Op{},
+		users:  make([][]*ir.Op, r.NumValues()),
+		isCond: make([]bool, r.NumValues()),
+		ctx:    r.NewAffineCtx(nil),
+		dfgs:   make([]*ir.BlockDFG, len(r.Blocks)),
 	}
-	for _, o := range r.AllOps() {
-		if o.Dst != ir.NoValue {
-			g.defs[o.Dst] = append(g.defs[o.Dst], o)
+	for _, b := range r.Blocks {
+		if b.Kind == ir.CondBr {
+			g.isCond[b.Cond] = true
+		}
+		for _, o := range b.Ops {
+			if o.Dst != ir.NoValue {
+				g.defs[o.Dst] = append(g.defs[o.Dst], o)
+			}
+			us := o.Uses()
+			if len(us) == 2 && us[0] == us[1] {
+				us = us[:1]
+			}
+			for _, u := range us {
+				g.users[u] = append(g.users[u], o)
+			}
 		}
 	}
 	g.parts = a.Cores()
@@ -230,19 +257,12 @@ func (g *decoupledGen) needsValue(v ir.Value, c int) bool {
 			return false // local copy maintained by own defs
 		}
 	}
-	for _, b := range g.r.Blocks {
-		if b.Kind == ir.CondBr && b.Cond == v {
-			return true // every participant branches on it
-		}
-		for _, o := range b.Ops {
-			if !g.a.On(o, c) {
-				continue
-			}
-			for _, u := range o.Uses() {
-				if u == v {
-					return true
-				}
-			}
+	if g.isCond[v] {
+		return true // every participant branches on it
+	}
+	for _, o := range g.users[v] {
+		if g.a.On(o, c) {
+			return true
 		}
 	}
 	return false
@@ -273,8 +293,12 @@ func (g *decoupledGen) planMessages() {
 			}
 		}
 	}
-	// Tokens: intra-iteration memory dependences crossing cores.
-	pdg := g.r.BuildPDG(nil)
+	// Tokens: intra-iteration memory dependences crossing cores. With one
+	// participant no dependence crosses cores.
+	if len(g.parts) == 1 {
+		return
+	}
+	pdg := g.r.BuildPDG(nil, g.ctx)
 	done := map[[2]*ir.Op]bool{}
 	for _, e := range pdg.Edges {
 		if e.Kind != ir.DepMem || e.Carried {
@@ -319,23 +343,27 @@ func (g *decoupledGen) hoistBlock(loops []*ir.Loop, d *ir.Op, c int) *ir.Block {
 // operand of one of its ops or as a branch condition, which every
 // participant evaluates).
 func (g *decoupledGen) consumerInLoop(l *ir.Loop, v ir.Value, c int) bool {
-	for id := range l.Blocks {
-		b := g.r.Blocks[id]
-		if b.Kind == ir.CondBr && b.Cond == v {
-			return true
-		}
-		for _, o := range b.Ops {
-			if !g.a.On(o, c) {
-				continue
-			}
-			for _, u := range o.Uses() {
-				if u == v {
-					return true
-				}
+	if g.isCond[v] {
+		for id := range l.Blocks {
+			if b := g.r.Blocks[id]; b.Kind == ir.CondBr && b.Cond == v {
+				return true
 			}
 		}
 	}
+	for _, o := range g.users[v] {
+		if l.Blocks[o.Blk.ID] && g.a.On(o, c) {
+			return true
+		}
+	}
 	return false
+}
+
+// dfg returns block b's dependence graph, building it on first use.
+func (g *decoupledGen) dfg(b *ir.Block) *ir.BlockDFG {
+	if g.dfgs[b.ID] == nil {
+		g.dfgs[b.ID] = g.r.BuildBlockDFG(b, g.ctx)
+	}
+	return g.dfgs[b.ID]
 }
 
 // orderMessages assigns every message of a block a position in a global
@@ -360,8 +388,7 @@ func (g *decoupledGen) orderMessages(b *ir.Block) map[*message]int {
 		adj[a] = append(adj[a], c)
 		indeg[c]++
 	}
-	dfg := g.r.BuildBlockDFG(b)
-	for _, e := range dfg.Edges {
+	for _, e := range g.dfg(b).Edges {
 		addEdge(opIdx[e.Src], opIdx[e.Dst])
 	}
 	for mi, m := range msgs {
@@ -524,7 +551,7 @@ func (g *decoupledGen) blockBody(c int, b *ir.Block) []isa.Inst {
 		}
 	}
 	// Local dependence edges from the precise block DFG.
-	dfg := g.r.BuildBlockDFG(b)
+	dfg := g.dfg(b)
 	for _, o := range localOps {
 		var preds []dagDep
 		for _, e := range dfg.Preds(o) {

@@ -156,9 +156,13 @@ func staticCarried(r *ir.Region, l *ir.Loop) bool {
 			}
 		}
 	}
+	if len(memOps) < 2 {
+		return false
+	}
+	ctx := r.NewAffineCtx(l)
 	for i, a := range memOps {
 		for _, b := range memOps[i+1:] {
-			switch r.MemDep(a, b, l, nil) {
+			switch r.MemDep(a, b, l, ctx) {
 			case ir.MemCarriedDep, ir.MemBothDep:
 				return true
 			}

@@ -19,7 +19,7 @@ func tryDSWP(r *ir.Region, opts Options) (Assignment, float64) {
 	if loop == nil {
 		return nil, 0
 	}
-	pdg := r.BuildPDG(loop)
+	pdg := r.BuildPDG(loop, r.NewAffineCtx(loop))
 	if len(pdg.Nodes) < 2 {
 		return nil, 0
 	}

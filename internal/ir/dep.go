@@ -66,8 +66,11 @@ func (g *BlockDFG) Succs(o *Op) []DepEdge { return g.succ[o] }
 func (g *BlockDFG) Preds(o *Op) []DepEdge { return g.pred[o] }
 
 // BuildBlockDFG computes the precise dependence graph of one block.
-// Memory dependences use the affine analysis (straight-line: intra only).
-func (r *Region) BuildBlockDFG(b *Block) *BlockDFG {
+// Memory dependences use the affine analysis (straight-line: intra only)
+// through ctx, a straight-line context of the region (NewAffineCtx(nil));
+// a lowering that builds the DFGs of many blocks builds it once and passes
+// it to every call.
+func (r *Region) BuildBlockDFG(b *Block, ctx *AffineCtx) *BlockDFG {
 	g := &BlockDFG{Block: b, succ: map[*Op][]DepEdge{}, pred: map[*Op][]DepEdge{}}
 	add := func(src, dst *Op, k DepKind) {
 		lat := 1
@@ -82,7 +85,6 @@ func (r *Region) BuildBlockDFG(b *Block) *BlockDFG {
 	lastDef := map[Value]*Op{}
 	lastUses := map[Value][]*Op{}
 	var mem []*Op
-	ctx := r.newAffineCtx(nil)
 	for _, o := range b.Ops {
 		for _, u := range o.Uses() {
 			if d := lastDef[u]; d != nil {
@@ -180,7 +182,9 @@ func (r *Region) controlDeps() map[int][]*Block {
 // the property DSWP relies on. Memory dependences come from the affine
 // analysis; control dependences from postdominance frontiers, expressed as
 // edges from the op defining the controlling branch condition.
-func (r *Region) BuildPDG(l *Loop) *PDG {
+//
+// ctx is an affine context of the region for l (NewAffineCtx(l)).
+func (r *Region) BuildPDG(l *Loop, ctx *AffineCtx) *PDG {
 	g := &PDG{Region: r, Loop: l, succ: map[*Op][]DepEdge{}, pred: map[*Op][]DepEdge{}}
 	inScope := func(b *Block) bool { return l == nil || l.Blocks[b.ID] }
 	defs := map[Value][]*Op{}
@@ -226,7 +230,6 @@ func (r *Region) BuildPDG(l *Loop) *PDG {
 		}
 	}
 	// Memory dependences.
-	ctx := r.newAffineCtx(l)
 	var mem []*Op
 	for _, o := range g.Nodes {
 		if o.Code.IsMemory() {

@@ -47,15 +47,18 @@ type Op struct {
 	Blk *Block
 }
 
-// Uses returns the values the op reads.
+// Uses returns the values the op reads, in operand order. It allocates
+// nothing: the result aliases o.Args and must not be modified.
 func (o *Op) Uses() []Value {
-	var vs []Value
-	for _, a := range o.Args {
-		if a != NoValue {
-			vs = append(vs, a)
-		}
+	switch {
+	case o.Args[0] != NoValue && o.Args[1] != NoValue:
+		return o.Args[:]
+	case o.Args[0] != NoValue:
+		return o.Args[:1]
+	case o.Args[1] != NoValue:
+		return o.Args[1:]
 	}
-	return vs
+	return nil
 }
 
 // String renders the op for dumps and error messages.

@@ -1,6 +1,7 @@
 package ir
 
 import (
+	"reflect"
 	"testing"
 
 	"voltron/internal/isa"
@@ -252,7 +253,7 @@ func TestBlockDFG(t *testing.T) {
 	_ = z
 	b.ExitRegion()
 	r.Seal()
-	g := r.BuildBlockDFG(b)
+	g := r.BuildBlockDFG(b, r.NewAffineCtx(nil))
 	// Find the store and the second load.
 	var store, load2 *Op
 	for _, o := range b.Ops {
@@ -298,7 +299,7 @@ func TestBlockDFG(t *testing.T) {
 func TestPDGAndSCCs(t *testing.T) {
 	_, r := buildSimpleLoop(t)
 	l := r.Loops()[0]
-	g := r.BuildPDG(l)
+	g := r.BuildPDG(l, r.NewAffineCtx(l))
 	if len(g.Nodes) == 0 {
 		t.Fatal("empty PDG")
 	}
@@ -378,7 +379,7 @@ func TestControlDeps(t *testing.T) {
 		t.Errorf("join control deps = %v, want none", cd[join.ID])
 	}
 	// PDG: ops in then must have control edges from the cmp.
-	g := r.BuildPDG(nil)
+	g := r.BuildPDG(nil, r.NewAffineCtx(nil))
 	var cmp *Op
 	for _, o := range entry.Ops {
 		if o.Code == isa.CMPLT {
@@ -433,5 +434,28 @@ func TestProgramLayout(t *testing.T) {
 	}
 	if p.ObjectAt(a.Base+8) != a || p.ObjectAt(b.Base) != b || p.ObjectAt(0) != nil {
 		t.Error("ObjectAt wrong")
+	}
+}
+
+// usesSink keeps the benchmarked Uses results live.
+var usesSink []Value
+
+func TestOpUsesNoAlloc(t *testing.T) {
+	for _, c := range []struct {
+		args [2]Value
+		want []Value
+	}{
+		{[2]Value{3, 4}, []Value{3, 4}},
+		{[2]Value{3, NoValue}, []Value{3}},
+		{[2]Value{NoValue, 4}, []Value{4}},
+		{[2]Value{NoValue, NoValue}, nil},
+	} {
+		o := &Op{Args: c.args}
+		if got := o.Uses(); !reflect.DeepEqual(got, c.want) {
+			t.Errorf("Args %v: Uses() = %v, want %v", c.args, got, c.want)
+		}
+		if n := testing.AllocsPerRun(100, func() { usesSink = o.Uses() }); n != 0 {
+			t.Errorf("Args %v: Uses allocates %.0f times", c.args, n)
+		}
 	}
 }

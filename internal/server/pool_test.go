@@ -7,14 +7,15 @@ import (
 	"strings"
 	"sync"
 	"testing"
+	"time"
 
 	"voltron/internal/compiler"
 	"voltron/internal/core"
 	"voltron/internal/spec"
 )
 
-// testCompiled compiles the tinyJob program the way the server would.
-func testCompiled(t testing.TB) (*core.CompiledProgram, core.Config, string) {
+// testRequest decodes and normalizes the tinyJob request.
+func testRequest(t testing.TB) *JobRequest {
 	t.Helper()
 	req, _, err := spec.DecodeJob(strings.NewReader(tinyJob()))
 	if err != nil {
@@ -23,6 +24,13 @@ func testCompiled(t testing.TB) (*core.CompiledProgram, core.Config, string) {
 	if err := req.Normalize(func(string) bool { return false }); err != nil {
 		t.Fatal(err)
 	}
+	return req
+}
+
+// testCompiled compiles the tinyJob program the way the server would.
+func testCompiled(t testing.TB) (*core.CompiledProgram, core.Config, string) {
+	t.Helper()
+	req := testRequest(t)
 	p, err := req.Program.Build()
 	if err != nil {
 		t.Fatal(err)
@@ -263,5 +271,44 @@ func TestPoolMetricsAccount(t *testing.T) {
 	waitForIdle(t, s)
 	if m = s.Metrics(); m.MachinePoolNews != news {
 		t.Errorf("serial rerun built %d fresh machines, want 0", m.MachinePoolNews-news)
+	}
+}
+
+// TestPanickingRunDropsMachine makes a run panic inside RunContext (an
+// artifact with no source program panics building its memory image) and
+// checks, under -race, that Server.run neither re-pools the machine it was
+// running on nor keeps its worker slot: with one worker, the next run must
+// acquire the slot and run on a freshly built machine.
+func TestPanickingRunDropsMachine(t *testing.T) {
+	s := New(Config{Workers: 1})
+	req := testRequest(t)
+	cp, _, _ := testCompiled(t)
+	bad := &core.CompiledProgram{Name: "no-source", Cores: cp.Cores}
+	before := s.pool.size()
+	func() {
+		defer func() {
+			if recover() == nil {
+				t.Fatal("run of an artifact with no source program did not panic")
+			}
+		}()
+		s.run(context.Background(), req, bad, nil)
+	}()
+	if got := s.pool.size(); got != before {
+		t.Errorf("pool holds %d idle machines after the panicking run, want %d", got, before)
+	}
+	if n := s.running.Value(); n != 0 {
+		t.Errorf("%d runs still counted as running after the panic", n)
+	}
+	news := s.pool.news.Value()
+	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+	defer cancel()
+	if _, err := s.run(ctx, req, cp, nil); err != nil {
+		t.Fatalf("run after the panicking run: %v", err)
+	}
+	if got := s.pool.news.Value() - news; got != 1 {
+		t.Errorf("run after the panicking run built %d fresh machines, want 1", got)
+	}
+	if got := s.pool.size(); got != before+1 {
+		t.Errorf("pool holds %d idle machines after a good run, want %d", got, before+1)
 	}
 }
