@@ -13,20 +13,20 @@ import (
 // TestCompileAllocCeiling measure on compileBench: the serial baseline,
 // forced fine-grain TLP (measured selection) and statically selected
 // hybrid, each at 4 and 64 cores. maxAllocs is about 10% above the
-// allocations per Compile measured on linux/amd64 with Go 1.24 (2895,
-// 3076, 13932, 16308, 20187 and 54022).
+// allocations per Compile measured on linux/amd64 with Go 1.24 (2365,
+// 2546, 11938, 14291, 16382 and 42468).
 var compileCases = []struct {
 	strat     Strategy
 	sel       SelectionMode
 	cores     int
 	maxAllocs float64
 }{
-	{Serial, SelectMeasured, 4, 3200},
-	{Serial, SelectMeasured, 64, 3400},
-	{ForceFTLP, SelectMeasured, 4, 15300},
-	{ForceFTLP, SelectMeasured, 64, 17900},
-	{Hybrid, SelectStatic, 4, 22200},
-	{Hybrid, SelectStatic, 64, 59400},
+	{Serial, SelectMeasured, 4, 2600},
+	{Serial, SelectMeasured, 64, 2800},
+	{ForceFTLP, SelectMeasured, 4, 13100},
+	{ForceFTLP, SelectMeasured, 64, 15700},
+	{Hybrid, SelectStatic, 4, 18000},
+	{Hybrid, SelectStatic, 64, 46700},
 }
 
 // compileBench is the fixed benchmark the compile measurements use: its

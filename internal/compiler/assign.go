@@ -8,32 +8,76 @@ package compiler
 
 import (
 	"fmt"
-	"sort"
 
 	"voltron/internal/ir"
 )
 
-// Assignment maps each IR op to the cores that execute it. The first core
-// is the primary (it owns the op's side effects and outgoing messages);
-// additional cores hold replicas (only register-only ops are replicated —
-// the control slice). Ops absent from the map run on the master core 0.
-type Assignment map[*ir.Op][]int
+// Assignment places the ops of one region on the cores that execute them.
+// An op's first site is its primary core (it owns the op's side effects
+// and outgoing messages); further sites are replicas (only register-only
+// ops are replicated — the control slice). Unassigned ops run on the master
+// core 0.
+//
+// The primary cores form a dense table indexed by Op.ID; replicas, which
+// only the control slice and rematerialized values have, live in a sparse
+// table beside it.
+type Assignment struct {
+	// primary[id] is the owning core of the op with that ID, or -1 when
+	// the op is unassigned. IDs beyond the table are unassigned too, so
+	// ops created after the table was sized behave as unassigned until set.
+	primary []int32
+	// replicas maps an op ID to its replica cores in the order they were
+	// added; the primary is never listed.
+	replicas map[int][]int
+}
+
+// newAssignment returns an assignment for r's ops with every op unassigned.
+func newAssignment(r *ir.Region) *Assignment {
+	a := &Assignment{primary: make([]int32, r.NumOpIDs())}
+	for i := range a.primary {
+		a.primary[i] = -1
+	}
+	return a
+}
+
+// assigned reports whether o has been placed on a core.
+func (a *Assignment) assigned(o *ir.Op) bool {
+	return o.ID < len(a.primary) && a.primary[o.ID] >= 0
+}
 
 // Primary returns the op's owning core.
-func (a Assignment) Primary(o *ir.Op) int {
-	if cs, ok := a[o]; ok && len(cs) > 0 {
-		return cs[0]
+func (a *Assignment) Primary(o *ir.Op) int {
+	return a.primaryOf(o.ID)
+}
+
+// primaryOf returns the owning core of the op with the given ID.
+func (a *Assignment) primaryOf(id int) int {
+	if id < len(a.primary) && a.primary[id] >= 0 {
+		return int(a.primary[id])
 	}
 	return 0
 }
 
+// Set places o on core c alone, dropping any replicas.
+func (a *Assignment) Set(o *ir.Op, c int) {
+	for o.ID >= len(a.primary) {
+		a.primary = append(a.primary, -1)
+	}
+	a.primary[o.ID] = int32(c)
+	if a.replicas != nil {
+		delete(a.replicas, o.ID)
+	}
+}
+
 // On reports whether core c executes o (as owner or replica).
-func (a Assignment) On(o *ir.Op, c int) bool {
-	cs, ok := a[o]
-	if !ok {
+func (a *Assignment) On(o *ir.Op, c int) bool {
+	if !a.assigned(o) {
 		return c == 0
 	}
-	for _, x := range cs {
+	if int(a.primary[o.ID]) == c {
+		return true
+	}
+	for _, x := range a.replicas[o.ID] {
 		if x == c {
 			return true
 		}
@@ -42,38 +86,79 @@ func (a Assignment) On(o *ir.Op, c int) bool {
 }
 
 // Replicate adds core c as a replica site of o.
-func (a Assignment) Replicate(o *ir.Op, c int) {
+func (a *Assignment) Replicate(o *ir.Op, c int) {
 	if a.On(o, c) {
 		return
 	}
-	if _, ok := a[o]; !ok {
-		a[o] = []int{0}
+	if !a.assigned(o) {
+		a.Set(o, 0)
 	}
-	a[o] = append(a[o], c)
+	if a.replicas == nil {
+		a.replicas = map[int][]int{}
+	}
+	a.replicas[o.ID] = append(a.replicas[o.ID], c)
+}
+
+// AppendSites appends o's sites — the primary core, then the replicas in
+// the order they were added — to dst. An unassigned op has no sites.
+func (a *Assignment) AppendSites(dst []int, o *ir.Op) []int {
+	if !a.assigned(o) {
+		return dst
+	}
+	dst = append(dst, int(a.primary[o.ID]))
+	return append(dst, a.replicas[o.ID]...)
+}
+
+// copySites gives dst the same primary and replicas as src; an unassigned
+// src counts as primary core 0.
+func (a *Assignment) copySites(dst, src *ir.Op) {
+	a.Set(dst, a.Primary(src))
+	if reps := a.replicas[src.ID]; len(reps) > 0 {
+		a.replicas[dst.ID] = append([]int(nil), reps...)
+	}
+}
+
+// dropReplicas collapses every op to its primary core.
+func (a *Assignment) dropReplicas() {
+	a.replicas = nil
 }
 
 // Cores returns the sorted set of cores that own at least one op, always
 // including the master core 0.
-func (a Assignment) Cores() []int {
-	set := map[int]bool{0: true}
-	for _, cs := range a {
-		for _, c := range cs {
-			set[c] = true
+func (a *Assignment) Cores() []int {
+	used := []bool{true}
+	mark := func(c int) {
+		for c >= len(used) {
+			used = append(used, false)
+		}
+		used[c] = true
+	}
+	for _, c := range a.primary {
+		if c >= 0 {
+			mark(int(c))
+		}
+	}
+	for _, reps := range a.replicas {
+		for _, c := range reps {
+			mark(c)
 		}
 	}
 	var out []int
-	for c := range set {
-		out = append(out, c)
+	for c, ok := range used {
+		if ok {
+			out = append(out, c)
+		}
 	}
-	sort.Ints(out)
 	return out
 }
 
 // uniform makes an assignment placing every op of the region on one core.
-func uniform(r *ir.Region, core int) Assignment {
-	a := Assignment{}
-	for _, o := range r.AllOps() {
-		a[o] = []int{core}
+func uniform(r *ir.Region, core int) *Assignment {
+	a := newAssignment(r)
+	for _, b := range r.Blocks {
+		for _, o := range b.Ops {
+			a.Set(o, core)
+		}
 	}
 	return a
 }
@@ -88,40 +173,46 @@ func uniform(r *ir.Region, core int) Assignment {
 //     cannot be synchronized with a single intra-iteration token.
 //
 // It mutates the assignment and returns it.
-func sanitize(r *ir.Region, a Assignment) Assignment {
-	// Rule 1: unify defs per value.
-	defs := map[ir.Value][]*ir.Op{}
-	for _, o := range r.AllOps() {
-		if o.Dst != ir.NoValue {
-			defs[o.Dst] = append(defs[o.Dst], o)
-		}
-	}
-	for _, ds := range defs {
-		if len(ds) < 2 {
+func sanitize(r *ir.Region, a *Assignment) *Assignment {
+	ops := r.AllOps()
+	// Rule 1: every later def of a value copies its first def's sites.
+	firstDef := make([]*ir.Op, r.NumValues())
+	for _, o := range ops {
+		if o.Dst == ir.NoValue {
 			continue
 		}
-		home := append([]int(nil), a[ds[0]]...)
-		if len(home) == 0 {
-			home = []int{a.Primary(ds[0])}
-		}
-		for _, d := range ds[1:] {
-			a[d] = append([]int(nil), home...)
+		if d := firstDef[o.Dst]; d != nil {
+			a.copySites(o, d)
+		} else {
+			firstDef[o.Dst] = o
 		}
 	}
-	// Rule 2: union-find over carried memory dependences.
-	loops := r.Loops()
-	parent := map[*ir.Op]*ir.Op{}
-	var find func(o *ir.Op) *ir.Op
-	find = func(o *ir.Op) *ir.Op {
-		if parent[o] == nil || parent[o] == o {
-			parent[o] = o
-			return o
-		}
-		parent[o] = find(parent[o])
-		return parent[o]
+	// Rule 2 only moves memory ops that are not all on one core already,
+	// so it skips the loop analysis when they are — as in every
+	// single-core lowering.
+	if memOpsColocated(ops, a) {
+		return a
 	}
-	union := func(x, y *ir.Op) { parent[find(x)] = find(y) }
-	for _, l := range loops {
+	// Rule 2: union-find over carried memory dependences, by op ID. A
+	// parent of -1 marks an op no dependence joined to another.
+	parent := make([]int32, r.NumOpIDs())
+	for i := range parent {
+		parent[i] = -1
+	}
+	find := func(id int32) int32 {
+		root := id
+		for parent[root] >= 0 && parent[root] != root {
+			root = parent[root]
+		}
+		parent[root] = root
+		for id != root {
+			next := parent[id]
+			parent[id] = root
+			id = next
+		}
+		return root
+	}
+	for _, l := range r.Loops() {
 		var memOps []*ir.Op
 		for id := range l.Blocks {
 			for _, o := range r.Blocks[id].Ops {
@@ -138,28 +229,46 @@ func sanitize(r *ir.Region, a Assignment) Assignment {
 			for _, y := range memOps[i+1:] {
 				switch r.MemDep(x, y, l, ctx) {
 				case ir.MemCarriedDep, ir.MemBothDep:
-					union(x, y)
+					parent[find(int32(x.ID))] = find(int32(y.ID))
 				}
 			}
 		}
 	}
-	groups := map[*ir.Op][]*ir.Op{}
-	for _, o := range r.AllOps() {
-		if o.Code.IsMemory() {
-			groups[find(o)] = append(groups[find(o)], o)
-		}
-	}
-	for _, g := range groups {
-		if len(g) < 2 {
+	// Pin every joined group to the primary core of its first member in
+	// program order. Memory ops are never replicated. home[root] holds the
+	// group's core plus one; zero means not yet seen.
+	home := make([]int32, len(parent))
+	for _, o := range ops {
+		if !o.Code.IsMemory() || parent[o.ID] < 0 {
 			continue
 		}
-		home := a.Primary(g[0])
-		for _, o := range g {
-			// Memory ops are never replicated; pin the whole group.
-			a[o] = []int{home}
+		root := find(int32(o.ID))
+		if home[root] == 0 {
+			home[root] = int32(a.Primary(o)) + 1
 		}
+		a.Set(o, int(home[root])-1)
 	}
 	return a
+}
+
+// memOpsColocated reports whether every memory op is assigned to the same
+// primary core with no replicas.
+func memOpsColocated(ops []*ir.Op, a *Assignment) bool {
+	home := -1
+	for _, o := range ops {
+		if !o.Code.IsMemory() {
+			continue
+		}
+		if !a.assigned(o) || len(a.replicas[o.ID]) > 0 {
+			return false
+		}
+		if c := a.Primary(o); home < 0 {
+			home = c
+		} else if c != home {
+			return false
+		}
+	}
+	return true
 }
 
 // controlSliceOps returns the replicable portion of the control slice: the
@@ -242,14 +351,15 @@ func controlSliceOps(r *ir.Region, maxSize int) []*ir.Op {
 
 // checkAssignment validates that every op has at least one core and memory
 // ops are not replicated.
-func checkAssignment(r *ir.Region, a Assignment) error {
-	for _, o := range r.AllOps() {
-		cs := a[o]
-		if len(cs) == 0 {
-			return fmt.Errorf("op %v unassigned", o)
-		}
-		if len(cs) > 1 && (o.Code.IsMemory() || o.Code.IsComm()) {
-			return fmt.Errorf("op %v replicated to %v but has side effects", o, cs)
+func checkAssignment(r *ir.Region, a *Assignment) error {
+	for _, b := range r.Blocks {
+		for _, o := range b.Ops {
+			if !a.assigned(o) {
+				return fmt.Errorf("op %v unassigned", o)
+			}
+			if len(a.replicas[o.ID]) > 0 && (o.Code.IsMemory() || o.Code.IsComm()) {
+				return fmt.Errorf("op %v replicated to %v but has side effects", o, a.AppendSites(nil, o))
+			}
 		}
 	}
 	return nil

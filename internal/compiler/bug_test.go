@@ -174,11 +174,11 @@ func TestEffLatUsesProfile(t *testing.T) {
 func TestSanitizeUnifiesMultiDefValues(t *testing.T) {
 	p := progCopyAdd(16) // the induction i has two defs (init + update)
 	r := p.Regions[0]
-	a := Assignment{}
+	a := newAssignment(r)
 	ops := r.AllOps()
 	// Adversarial assignment: alternate cores op by op.
 	for i, o := range ops {
-		a[o] = []int{i % 2}
+		a.Set(o, i%2)
 	}
 	a = sanitize(r, a)
 	defs := map[ir.Value][]*ir.Op{}
@@ -212,12 +212,11 @@ func TestSanitizeGroupsCarriedMemDeps(t *testing.T) {
 			store = o
 		}
 	}
-	a := Assignment{load: {0}, store: {1}}
+	a := newAssignment(r)
 	for _, o := range r.AllOps() {
-		if _, ok := a[o]; !ok {
-			a[o] = []int{0}
-		}
+		a.Set(o, 0)
 	}
+	a.Set(store, 1)
 	a = sanitize(r, a)
 	if a.Primary(load) != a.Primary(store) {
 		t.Error("carried memory dependence left split across cores")

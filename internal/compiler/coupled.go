@@ -133,7 +133,7 @@ func (g *slotGrid) pad(n int) {
 // coupledGen carries one region's coupled lowering.
 type coupledGen struct {
 	r     *ir.Region
-	a     Assignment
+	a     *Assignment
 	width int
 	top   xnet.Topology
 	defs  map[ir.Value][]*ir.Op
@@ -156,7 +156,7 @@ func (g *coupledGen) fallsTo(b, target *ir.Block) bool {
 }
 
 // GenCoupled lowers a region for coupled (lock-step DVLIW) execution.
-func GenCoupled(r *ir.Region, a Assignment, width int) (*core.CompiledRegion, error) {
+func GenCoupled(r *ir.Region, a *Assignment, width int) (*core.CompiledRegion, error) {
 	if width > 4 {
 		return nil, fmt.Errorf("coupled groups are limited to 4 cores (paper §3.2), got %d", width)
 	}
@@ -165,11 +165,7 @@ func GenCoupled(r *ir.Region, a Assignment, width int) (*core.CompiledRegion, er
 	// control slice to every core when it is cheap and load-free: each
 	// core then computes branch conditions locally (Figure 5(c)) instead
 	// of receiving them over the BCAST/GET distribution.
-	for o, cs := range a {
-		if len(cs) > 1 {
-			a[o] = cs[:1]
-		}
-	}
+	a.dropReplicas()
 	if width > 1 {
 		if slice := controlSliceOps(r, 24); slice != nil {
 			for _, o := range slice {
@@ -191,8 +187,10 @@ func GenCoupled(r *ir.Region, a Assignment, width int) (*core.CompiledRegion, er
 			g.defs[o.Dst] = append(g.defs[o.Dst], o)
 		}
 	}
+	var sites []int
 	for _, o := range r.AllOps() {
-		for _, c := range a[o] {
+		sites = a.AppendSites(sites[:0], o)
+		for _, c := range sites {
 			for _, u := range o.Uses() {
 				if g.needOn[u] == nil {
 					g.needOn[u] = map[int]bool{}
@@ -287,10 +285,11 @@ func (g *coupledGen) scheduleBlock(b, next *ir.Block) (*slotGrid, error) {
 		}
 		return m
 	}
+	var execCores []int
 	for _, o := range b.Ops {
-		execCores := g.a[o]
+		execCores = g.a.AppendSites(execCores[:0], o)
 		if len(execCores) == 0 {
-			execCores = []int{0}
+			execCores = append(execCores, 0)
 		}
 		sched[o] = map[int]int{}
 		for _, c := range execCores {

@@ -56,7 +56,7 @@ type message struct {
 // decoupledGen carries the state of one region's decoupled lowering.
 type decoupledGen struct {
 	r     *ir.Region
-	a     Assignment
+	a     *Assignment
 	width int   // machine cores
 	parts []int // participating cores (sorted, includes 0)
 	rpo   []*ir.Block
@@ -88,17 +88,17 @@ type decoupledGen struct {
 // memory-dependence grouping) and the control slice is replicated to all
 // participating cores when it is cheap and load-free; otherwise branch
 // conditions travel over the network.
-func GenDecoupled(r *ir.Region, a Assignment, width int) (*core.CompiledRegion, error) {
+func GenDecoupled(r *ir.Region, a *Assignment, width int) (*core.CompiledRegion, error) {
 	return genDecoupled(r, a, width, false)
 }
 
 // GenDecoupledPredSend is the ablation variant that never replicates the
 // control slice: branch conditions always travel over the queue network.
-func GenDecoupledPredSend(r *ir.Region, a Assignment, width int) (*core.CompiledRegion, error) {
+func GenDecoupledPredSend(r *ir.Region, a *Assignment, width int) (*core.CompiledRegion, error) {
 	return genDecoupled(r, a, width, true)
 }
 
-func genDecoupled(r *ir.Region, a Assignment, width int, forcePredSend bool) (*core.CompiledRegion, error) {
+func genDecoupled(r *ir.Region, a *Assignment, width int, forcePredSend bool) (*core.CompiledRegion, error) {
 	a = sanitize(r, a)
 	g := &decoupledGen{
 		r: r, a: a, width: width,

@@ -10,10 +10,10 @@ import (
 )
 
 // manualSplit assigns alternating ops to two cores (a stress partition).
-func manualSplit(r *ir.Region) Assignment {
-	a := Assignment{}
+func manualSplit(r *ir.Region) *Assignment {
+	a := newAssignment(r)
 	for i, o := range r.AllOps() {
-		a[o] = []int{i % 2}
+		a.Set(o, i%2)
 	}
 	return a
 }
@@ -168,12 +168,12 @@ func TestDecoupledLiveOutHoisting(t *testing.T) {
 	p := progReduction(64)
 	r := p.Regions[0]
 	// Force the accumulator chain on core 1 and the final store on core 0.
-	a := Assignment{}
+	a := newAssignment(r)
 	for _, o := range r.AllOps() {
 		if o.Code.IsStore() {
-			a[o] = []int{0}
+			a.Set(o, 0)
 		} else {
-			a[o] = []int{1}
+			a.Set(o, 1)
 		}
 	}
 	cr, err := GenDecoupled(r, a, 2)
@@ -224,15 +224,15 @@ func TestDecoupledMemoryTokens(t *testing.T) {
 	b.Store(out, b.AddrOf(out), 0, ld)
 	b.ExitRegion()
 	r.Seal()
-	asg := Assignment{}
+	asg := newAssignment(r)
 	for _, o := range r.AllOps() {
-		asg[o] = []int{0}
+		asg.Set(o, 0)
 	}
 	// Split the dependent pair.
-	asg[st] = []int{0}
+	asg.Set(st, 0)
 	for _, o := range r.AllOps() {
 		if o.Dst == ld {
-			asg[o] = []int{1}
+			asg.Set(o, 1)
 		}
 	}
 	_ = st

@@ -14,7 +14,7 @@ import (
 // tryDSWP attempts a pipeline partition of the region's hottest loop.
 // It returns the assignment and the estimated speedup (serial cost divided
 // by the longest stage), or (nil, 0) when no profitable pipeline exists.
-func tryDSWP(r *ir.Region, opts Options) (Assignment, float64) {
+func tryDSWP(r *ir.Region, opts Options) (*Assignment, float64) {
 	loop := hottestLoop(r, opts)
 	if loop == nil {
 		return nil, 0
@@ -69,7 +69,7 @@ func tryDSWP(r *ir.Region, opts Options) (Assignment, float64) {
 	// stage reaches its fair share.
 	stages := opts.Cores
 	target := total / float64(stages)
-	a := Assignment{}
+	a := newAssignment(r)
 	stage, acc := 0, 0.0
 	maxStage := 0.0
 	stageCost := make([]float64, stages)
@@ -81,7 +81,7 @@ func tryDSWP(r *ir.Region, opts Options) (Assignment, float64) {
 		acc += sccCost[i]
 		stageCost[stage] += sccCost[i]
 		for _, o := range s {
-			a[o] = []int{stage}
+			a.Set(o, stage)
 		}
 	}
 	for _, c := range stageCost {
@@ -107,7 +107,7 @@ func tryDSWP(r *ir.Region, opts Options) (Assignment, float64) {
 			continue
 		}
 		for _, o := range b.Ops {
-			a[o] = []int{0}
+			a.Set(o, 0)
 		}
 	}
 	return a, total / maxStage

@@ -170,6 +170,13 @@ func (r *Region) NumValues() int {
 	return len(r.vals)
 }
 
+// NumOpIDs returns one past the largest op ID the region has handed out:
+// every op of the region has an ID in [0, NumOpIDs), so tables indexed by
+// Op.ID can be sized from it.
+func (r *Region) NumOpIDs() int {
+	return r.nextOp
+}
+
 // NewBlock appends an empty block to the region. The first block created
 // becomes the entry.
 func (r *Region) NewBlock() *Block {

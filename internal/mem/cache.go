@@ -84,12 +84,36 @@ func newCache(cfg CacheCfg) *cache {
 }
 
 func (c *cache) index(addr int64) (set int64, tag int64) {
+	lineAddr := c.lineOf(addr)
 	if c.pow2 {
-		lineAddr := addr >> c.lineShift
 		return lineAddr & (c.numSets - 1), lineAddr >> c.setShift
 	}
-	lineAddr := addr / c.cfg.LineBytes
 	return lineAddr % c.numSets, lineAddr / c.numSets
+}
+
+// lineOf returns the line address of addr: addresses with the same line
+// address map to the same set and tag.
+func (c *cache) lineOf(addr int64) int64 {
+	if c.pow2 {
+		return addr >> c.lineShift
+	}
+	return addr / c.cfg.LineBytes
+}
+
+// addrRange is the byte addresses [base, base+size); the zero value is
+// empty.
+type addrRange struct {
+	base, size int64
+}
+
+// lineRange returns the addresses of addr's line. It is empty for a
+// negative addr: under division indexing such a line is not one
+// contiguous range.
+func (c *cache) lineRange(addr int64) addrRange {
+	if addr < 0 {
+		return addrRange{}
+	}
+	return addrRange{base: c.lineOf(addr) * c.cfg.LineBytes, size: c.cfg.LineBytes}
 }
 
 // find returns the flat index of the line holding addr, or -1.

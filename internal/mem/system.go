@@ -68,6 +68,9 @@ type System struct {
 	l1d []*cache
 	l1i []*cache
 	l2  *cache
+	// lastFetch[core] holds the addresses of the L1I line the core
+	// fetched last (see Fetch).
+	lastFetch []addrRange
 
 	busFreeAt int64
 	// bankFreeAt serializes same-bank L2 accesses.
@@ -83,6 +86,7 @@ func NewSystem(cfg Config, flat *Flat) *System {
 		s.l1i = append(s.l1i, newCache(cfg.L1I))
 	}
 	s.l2 = newCache(cfg.L2)
+	s.lastFetch = make([]addrRange, cfg.Cores)
 	banks := cfg.L2Banks
 	if banks < 1 {
 		banks = 1
@@ -112,6 +116,7 @@ func (s *System) Reset(flat *Flat) {
 	for _, c := range s.l1i {
 		c.reset()
 	}
+	clear(s.lastFetch)
 	s.l2.reset()
 	s.busFreeAt = 0
 	clear(s.bankFreeAt)
@@ -312,8 +317,25 @@ func (s *System) fillL1D(core int, addr int64, st lineState) {
 
 // Fetch models an instruction fetch by core at time now and returns the
 // cycle the instruction is available.
+//
+// A fetch from the core's previous line is a hit on that line, which is
+// still the most recently used one in its set: only Fetch touches the
+// private L1I. Skipping its LRU touch is exact, because the touch would
+// only renew the newest stamp in the set, so every relative LRU order is
+// unchanged. The fast path is then one range check and the hit counter.
 func (s *System) Fetch(core int, addr, now int64) (doneAt int64) {
+	if l := s.lastFetch[core]; uint64(addr-l.base) < uint64(l.size) {
+		s.St.L1IHits[core]++
+		return now + s.Cfg.L1I.HitLat
+	}
+	return s.fetchLine(core, addr, now)
+}
+
+// fetchLine is Fetch's path through the L1I tags; it records addr's line
+// as the core's latest.
+func (s *System) fetchLine(core int, addr, now int64) int64 {
 	c := s.l1i[core]
+	s.lastFetch[core] = c.lineRange(addr)
 	if i := c.find(addr); i >= 0 {
 		c.touchIdx(i)
 		s.St.L1IHits[core]++
