@@ -221,7 +221,7 @@ func BenchmarkAblationStaticSelection(b *testing.B) {
 	var meas, stat float64
 	for i := 0; i < b.N; i++ {
 		meas = speedupWith(b, "cjpeg", compiler.Options{Strategy: compiler.Hybrid})
-		stat = speedupWith(b, "cjpeg", compiler.Options{Strategy: compiler.Hybrid, StaticSelection: true})
+		stat = speedupWith(b, "cjpeg", compiler.Options{Strategy: compiler.Hybrid, Selection: compiler.SelectStatic})
 	}
 	b.ReportMetric(meas, "measured_x")
 	b.ReportMetric(stat, "static_x")

@@ -140,6 +140,7 @@ func catalogJob(i, cores int, traced bool) (*spec.JobRequest, error) {
 	strategies := []string{"llp", "ilp", "serial", "hybrid"}
 	req := &spec.JobRequest{
 		Program: &spec.ProgramSpec{
+			Kind: spec.KindKernels,
 			Name: fmt.Sprintf("load%03d", i),
 			Kernels: []spec.KernelSpec{
 				{Kind: "doall-map", Name: "m", N: int64(64 + 32*(i%7)), Work: 2 + i%3},

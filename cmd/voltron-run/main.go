@@ -14,7 +14,6 @@
 package main
 
 import (
-	"bufio"
 	"flag"
 	"fmt"
 	"io"
@@ -54,7 +53,6 @@ func run(args []string, stdout, stderr io.Writer) error {
 	list := fs.Bool("list", false, "list benchmarks and exit")
 	verbose := fs.Bool("v", false, "per-core stall breakdown")
 	tracePath := fs.String("trace", "", "write a Chrome trace (Perfetto-loadable JSON) to this file")
-	traceText := fs.String("trace-text", "", "write the cycle-by-cycle instruction issue trace to this file")
 	stalls := fs.Bool("stalls", false, "print the per-region stall-attribution report")
 	workers := fs.Int("j", 0, "measured-selection workers (0 = all host CPUs, 1 = sequential)")
 	if err := fs.Parse(args); err != nil {
@@ -138,18 +136,15 @@ func run(args []string, stdout, stderr io.Writer) error {
 		return err
 	}
 	var tr *trace.Tracer
-	if *tracePath != "" || *traceText != "" || *stalls {
+	if *tracePath != "" || *stalls {
 		tr = trace.New()
 	}
 	mainCP, res, err := simulate(req, tr)
 	if err != nil {
 		// An aborted run (deadlock, schedule violation) still dumps the
-		// requested traces — that is when they are most needed.
-		if tr != nil && *traceText != "" {
-			writeRendered(*traceText, tr.WriteText)
-		}
+		// requested trace — that is when it is most needed.
 		if tr != nil && *tracePath != "" {
-			writeRendered(*tracePath, tr.WriteChrome)
+			writeChrome(*tracePath, tr)
 		}
 		return err
 	}
@@ -184,12 +179,7 @@ func run(args []string, stdout, stderr io.Writer) error {
 		}
 	}
 	if *tracePath != "" {
-		if err := writeRendered(*tracePath, tr.WriteChrome); err != nil {
-			return err
-		}
-	}
-	if *traceText != "" {
-		if err := writeRendered(*traceText, tr.WriteText); err != nil {
+		if err := writeChrome(*tracePath, tr); err != nil {
 			return err
 		}
 	}
@@ -216,16 +206,16 @@ func parseInputs(s string) (map[string]int64, error) {
 	return out, nil
 }
 
-// writeRendered renders one trace view into a freshly created file.
-func writeRendered(path string, render func(io.Writer) error) error {
+// writeChrome renders the trace as Chrome trace-event JSON into a freshly
+// created file.
+func writeChrome(path string, tr *trace.Tracer) error {
 	f, err := os.Create(path)
 	if err != nil {
 		return err
 	}
-	defer f.Close()
-	w := bufio.NewWriter(f)
-	if err := render(w); err != nil {
+	if err := tr.WriteChrome(f); err != nil {
+		f.Close()
 		return err
 	}
-	return w.Flush()
+	return f.Close()
 }

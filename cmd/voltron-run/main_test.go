@@ -60,8 +60,7 @@ func TestGolden(t *testing.T) {
 }
 
 // TestTraceFile: -trace writes deterministic Chrome trace-event JSON (two
-// runs produce byte-identical files), -trace-text writes the legacy
-// per-instruction issue trace.
+// runs produce byte-identical files).
 func TestTraceFile(t *testing.T) {
 	traceOf := func(dir string) []byte {
 		t.Helper()
@@ -85,21 +84,6 @@ func TestTraceFile(t *testing.T) {
 	}
 	if b := traceOf(t.TempDir()); !bytes.Equal(a, b) {
 		t.Errorf("identical runs wrote different traces")
-	}
-}
-
-func TestTraceTextFile(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "trace.txt")
-	var stdout, stderr bytes.Buffer
-	if err := run([]string{"-bench", "rawcaudio", "-cores", "2", "-strategy", "llp", "-trace-text", path, "-j", "1"}, &stdout, &stderr); err != nil {
-		t.Fatal(err)
-	}
-	b, err := os.ReadFile(path)
-	if err != nil {
-		t.Fatalf("trace not written: %v", err)
-	}
-	if !strings.Contains(string(b), "=== region") {
-		t.Errorf("trace has no region transitions:\n%.200s", b)
 	}
 }
 

@@ -174,7 +174,7 @@ func runSmoke(srv *server.Server, metricsOut string, stdout io.Writer) error {
 	for round := 0; round < 2; round++ {
 		for _, bench := range []string{"rawcaudio", "gsmdecode"} {
 			for _, strat := range []string{"serial", "llp", "hybrid"} {
-				body := fmt.Sprintf(`{"bench": %q, "strategy": %q, "cores": 4, "baseline": true}`, bench, strat)
+				body := fmt.Sprintf(`{"program": {"kind": "bench", "bench": %q}, "strategy": %q, "cores": 4, "baseline": true}`, bench, strat)
 				if err := post(body); err != nil {
 					return err
 				}
@@ -184,11 +184,11 @@ func runSmoke(srv *server.Server, metricsOut string, stdout io.Writer) error {
 	// A machine-latency ablation of a round-one job: a distinct run key that
 	// must reuse the already-compiled artifact (the compile cache's reason
 	// to exist; the traced job below shares one the same way).
-	if err := post(`{"bench": "gsmdecode", "strategy": "hybrid", "cores": 4, "machine": {"queue_base_lat": 4}}`); err != nil {
+	if err := post(`{"program": {"kind": "bench", "bench": "gsmdecode"}, "strategy": "hybrid", "cores": 4, "machine": {"queue_base_lat": 4}}`); err != nil {
 		return err
 	}
 	// Concurrent identical jobs: singleflight under real HTTP.
-	inline := `{"program": {"name": "smoke", "kernels": [
+	inline := `{"program": {"kind": "kernels", "name": "smoke", "kernels": [
 		{"kind": "pipeline", "name": "p", "table": 16384, "n": 16384, "work": 16},
 		{"kind": "doall-map", "name": "m", "n": 4096, "work": 8}
 	]}, "strategy": "llp", "cores": 4}`
@@ -230,7 +230,7 @@ func runSmoke(srv *server.Server, metricsOut string, stdout io.Writer) error {
 	}
 	// A traced job: the response must link a fetchable Chrome trace.
 	tr, err := http.Post(base+"/v1/jobs", "application/json",
-		bytes.NewReader([]byte(`{"bench": "rawcaudio", "strategy": "hybrid", "cores": 4, "trace": true}`)))
+		bytes.NewReader([]byte(`{"program": {"kind": "bench", "bench": "rawcaudio"}, "strategy": "hybrid", "cores": 4, "trace": true}`)))
 	if err != nil {
 		return err
 	}
@@ -400,11 +400,11 @@ func probePerJob(disablePool bool, n int) (perJobStats, error) {
 	srv := server.New(server.Config{Workers: 1, CacheEntries: 1, DisableMachinePool: disablePool})
 	h := srv.Handler()
 	jobs := [2]string{
-		`{"program": {"name": "probeA", "kernels": [
+		`{"program": {"kind": "kernels", "name": "probeA", "kernels": [
 			{"kind": "doall-map", "name": "m", "n": 64, "work": 2},
 			{"kind": "serial-chain", "name": "c", "n": 16}
 		]}, "strategy": "llp", "cores": 2}`,
-		`{"program": {"name": "probeB", "kernels": [
+		`{"program": {"kind": "kernels", "name": "probeB", "kernels": [
 			{"kind": "doall-map", "name": "m", "n": 96, "work": 2},
 			{"kind": "serial-chain", "name": "c", "n": 24}
 		]}, "strategy": "llp", "cores": 2}`,

@@ -36,7 +36,8 @@ const (
 	// as measured selection would.
 	TierDOALL
 	// TierEasy: the estimate ranking has a winner above the confidence
-	// threshold; auto mode installs it without measuring.
+	// threshold, or there is nothing to rank; auto mode installs it without
+	// measuring.
 	TierEasy
 	// TierHard: the ranking margin is below the threshold; auto mode
 	// escalates the region to measured selection.
@@ -271,23 +272,31 @@ func measureEscalated(p *ir.Program, opts Options, cp *core.CompiledProgram, pla
 	return nil
 }
 
-// ClassifyProgram runs the static classifier over every region of a
-// multicore compile and returns the per-region classifications without
-// simulating anything. It mirrors compileAuto's static tier exactly: a
-// region classified TierEasy/TierSmall/TierDOALL here is what auto mode
-// installs.
+// ClassifyProgram reports, without simulating anything, the per-region plan
+// Compile would install under the same options. For a compile that selects
+// it mirrors compileAuto's static tier exactly: a region classified
+// TierEasy/TierSmall/TierDOALL here is what auto and static modes install.
+// A compile that does not select lowers each region directly, so each
+// region classifies as that lowering: TierDOALL/LLP where a multicore
+// ForceLLP compile installs DOALL, TierEasy/single core otherwise.
 func ClassifyProgram(p *ir.Program, opts Options) ([]Classification, error) {
-	opts = opts.withDefaults()
-	p.PrepareOnce(func() { Optimize(p) })
-	if err := p.Verify(); err != nil {
-		return nil, fmt.Errorf("classify %q: %w", p.Name, err)
+	opts, err := prepare(p, opts, "classify")
+	if err != nil {
+		return nil, err
 	}
-	if opts.Profile == nil {
-		pr, err := prof.Collect(p)
-		if err != nil {
-			return nil, fmt.Errorf("profiling %q: %w", p.Name, err)
+	if !opts.selects() {
+		out := make([]Classification, len(p.Regions))
+		for i, r := range p.Regions {
+			cr, err := compileRegion(r, opts)
+			if err != nil {
+				return nil, fmt.Errorf("region %q: %w", r.Name, err)
+			}
+			out[i] = Classification{Tier: TierEasy, Choice: ChoseSingle, Confidence: 1}
+			if cr.TxCores > 0 {
+				out[i] = Classification{Tier: TierDOALL, Choice: ChoseLLP, Confidence: 1}
+			}
 		}
-		opts.Profile = pr
+		return out, nil
 	}
 	plans := planRegions(p, opts)
 	out := make([]Classification, len(plans))

@@ -229,6 +229,52 @@ func TestStaticSelectionNeverSimulates(t *testing.T) {
 	}
 }
 
+// TestClassifyMatchesCompile: the classifier reports the plan Compile
+// installs under the same options, for every strategy and for single- and
+// multicore machines. Compiles that select must record the classifier's
+// tier and pick per region (static mode never escalates, so no region may
+// classify as hard); compiles that do not select lower each region directly,
+// and the classifier must call a region LLP exactly when that lowering runs
+// transactions.
+func TestClassifyMatchesCompile(t *testing.T) {
+	strategies := []Strategy{Serial, ForceILP, ForceFTLP, ForceLLP, Hybrid}
+	for _, name := range workload.Names() {
+		p, err := workload.Build(name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		pr := mustProfile(t, p)
+		for _, s := range strategies {
+			for _, cores := range []int{1, 4} {
+				opts := Options{Cores: cores, Strategy: s, Profile: pr, Workers: 1, Selection: SelectStatic}
+				cp, err := Compile(p, opts)
+				if err != nil {
+					t.Fatalf("%s/%v/%d: %v", name, s, cores, err)
+				}
+				cls, err := ClassifyProgram(p, opts)
+				if err != nil {
+					t.Fatalf("%s/%v/%d: classify: %v", name, s, cores, err)
+				}
+				selects := cp.Selection.Mode != ""
+				if selects != opts.selects() {
+					t.Errorf("%s/%v/%d: compile selection mode %q, selects() = %v", name, s, cores, cp.Selection.Mode, opts.selects())
+				}
+				for i, cl := range cls {
+					if selects {
+						if got := cp.Selection.Regions[i]; got.Choice != cl.Choice.String() || got.Tier != cl.Tier.String() {
+							t.Errorf("%s/%v/%d region %d: installed %s/%q, classifier reports %s/%q", name, s, cores, i, got.Tier, got.Choice, cl.Tier, cl.Choice)
+						}
+						continue
+					}
+					if doall := cp.Regions[i].TxCores > 0; doall != (cl.Choice == ChoseLLP) {
+						t.Errorf("%s/%v/%d region %d: lowering runs transactions = %v, classifier reports %q", name, s, cores, i, doall, cl.Choice)
+					}
+				}
+			}
+		}
+	}
+}
+
 // TestContradicted covers the stall-report feedback predicate.
 func TestContradicted(t *testing.T) {
 	rr := func(cycles map[string]int64) trace.RegionReport {

@@ -114,11 +114,6 @@ type Options struct {
 	// ForcePredSend disables control-slice replication so branch
 	// conditions always travel over the network (ablation).
 	ForcePredSend bool
-	// StaticSelection makes Hybrid pick strategies from the static cycle
-	// estimator instead of by measurement (ablation; cheaper compiles).
-	// Deprecated: set Selection to SelectStatic instead; this flag is kept
-	// for spec compatibility and maps onto it.
-	StaticSelection bool
 	// Selection picks how per-region strategy selection runs: measured
 	// (default), static, or the tiered auto mode that decides confident
 	// regions statically and escalates only the rest.
@@ -130,7 +125,9 @@ type Options struct {
 
 // withDefaults fills unset thresholds (0 = default) and resolves the
 // NoThreshold sentinel (negative = no gate, normalized to 0 so every
-// comparison site passes trivially).
+// comparison site passes trivially). Static selection is auto selection
+// with the confidence gate disabled: every classifier pick is trusted,
+// nothing escalates, zero selection simulations.
 func (o Options) withDefaults() Options {
 	if o.Cores == 0 {
 		o.Cores = 1
@@ -142,10 +139,17 @@ func (o Options) withDefaults() Options {
 	o.DOALLTripThreshold = resolveThreshold(o.DOALLTripThreshold, 8)
 	o.MissStallThreshold = resolveThreshold(o.MissStallThreshold, 0.15)
 	o.SelectThreshold = resolveThreshold(o.SelectThreshold, DefaultSelectThreshold)
-	if o.StaticSelection && o.Selection == SelectMeasured {
-		o.Selection = SelectStatic
+	if o.Selection == SelectStatic {
+		o.SelectThreshold = NoThreshold
 	}
 	return o
+}
+
+// selects reports whether the compile runs per-region strategy selection:
+// multicore Hybrid, ILP and FTLP compiles do; every other compile lowers
+// each region directly (compileRegion).
+func (o Options) selects() bool {
+	return o.Cores > 1 && (o.Strategy == Hybrid || o.Strategy == ForceILP || o.Strategy == ForceFTLP)
 }
 
 // resolveThreshold maps the Options threshold encoding to an effective
@@ -165,36 +169,15 @@ func resolveThreshold(v, def float64) float64 {
 // in-place IR mutation (the classical cleanup passes) runs exactly once per
 // program under PrepareOnce, and everything after it only reads the IR.
 func Compile(p *ir.Program, opts Options) (*core.CompiledProgram, error) {
-	opts = opts.withDefaults()
-	// Classical cleanup (in place; idempotent and semantics-preserving, so
-	// op-keyed profiles stay valid). Guarded so concurrent compiles of one
-	// cached program never race; it runs before Verify so no reader
-	// overlaps the mutation.
-	p.PrepareOnce(func() { Optimize(p) })
-	if err := p.Verify(); err != nil {
-		return nil, fmt.Errorf("compile %q: %w", p.Name, err)
+	opts, err := prepare(p, opts, "compile")
+	if err != nil {
+		return nil, err
 	}
-	if opts.Profile == nil && opts.Strategy != Serial {
-		pr, err := prof.Collect(p)
-		if err != nil {
-			return nil, fmt.Errorf("profiling %q: %w", p.Name, err)
-		}
-		opts.Profile = pr
-	}
-	if opts.Cores > 1 &&
-		(opts.Strategy == Hybrid || opts.Strategy == ForceILP || opts.Strategy == ForceFTLP) {
-		switch opts.Selection {
-		case SelectStatic:
-			// Static mode is auto with the confidence gate disabled: every
-			// classifier pick is trusted, nothing escalates, zero selection
-			// simulations.
-			opts.SelectThreshold = NoThreshold
-			return compileAuto(p, opts)
-		case SelectAuto:
-			return compileAuto(p, opts)
-		default:
+	if opts.selects() {
+		if opts.Selection == SelectMeasured {
 			return compileMeasured(p, opts)
 		}
+		return compileAuto(p, opts)
 	}
 	cp := &core.CompiledProgram{Name: p.Name, Cores: opts.Cores, Src: p}
 	for _, r := range p.Regions {
@@ -210,27 +193,38 @@ func Compile(p *ir.Program, opts Options) (*core.CompiledProgram, error) {
 	return cp, nil
 }
 
-// compileRegion picks and applies a strategy for one region.
-func compileRegion(r *ir.Region, opts Options) (*core.CompiledRegion, error) {
-	if opts.Cores == 1 || opts.Strategy == Serial {
-		return genSerial(r, opts.Cores)
+// prepare resolves opts and readies p for a compile or a classification
+// (verb names which in errors). The classical cleanup runs in place, once
+// per program under PrepareOnce and before Verify, so concurrent compiles
+// of one cached program never race; it is idempotent and
+// semantics-preserving, so op-keyed profiles stay valid. Every strategy
+// but Serial gets a profile when the caller supplied none.
+func prepare(p *ir.Program, opts Options, verb string) (Options, error) {
+	opts = opts.withDefaults()
+	p.PrepareOnce(func() { Optimize(p) })
+	if err := p.Verify(); err != nil {
+		return opts, fmt.Errorf("%s %q: %w", verb, p.Name, err)
 	}
-	switch opts.Strategy {
-	case ForceILP:
-		return genILP(r, opts)
-	case ForceFTLP:
-		return genFTLP(r, opts)
-	case ForceLLP:
-		if cr, ok, err := tryDOALL(r, opts); err != nil {
-			return nil, err
-		} else if ok {
-			return cr, nil
+	if opts.Profile == nil && opts.Strategy != Serial {
+		pr, err := prof.Collect(p)
+		if err != nil {
+			return opts, fmt.Errorf("profiling %q: %w", p.Name, err)
 		}
-		return genSerial(r, opts.Cores)
-	case Hybrid:
-		return genHybrid(r, opts)
+		opts.Profile = pr
 	}
-	return nil, fmt.Errorf("unknown strategy %v", opts.Strategy)
+	return opts, nil
+}
+
+// compileRegion lowers one region of a compile that does not select:
+// statistical DOALL where it applies under a multicore ForceLLP, serial
+// otherwise.
+func compileRegion(r *ir.Region, opts Options) (*core.CompiledRegion, error) {
+	if opts.Cores > 1 && opts.Strategy == ForceLLP {
+		if cr, ok, err := tryDOALL(r, opts); err != nil || ok {
+			return cr, err
+		}
+	}
+	return genSerial(r, opts.Cores)
 }
 
 // genSerial emits the region as a master-only decoupled thread — the

@@ -349,21 +349,24 @@ func TestSerialBaselineHasNoCommunication(t *testing.T) {
 	}
 }
 
+// classifyFirst is the classifier's hybrid choice for p's first region.
+func classifyFirst(t *testing.T, p *ir.Program, cores int) Choice {
+	t.Helper()
+	cls, err := ClassifyProgram(p, Options{Cores: cores, Strategy: Hybrid, Profile: mustProfile(t, p)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return cls[0].Choice
+}
+
 func TestDOALLSelectedForCleanLoop(t *testing.T) {
-	p := progCopyAdd(64)
-	opts := Options{Cores: 4, Strategy: Hybrid}.withDefaults()
-	pr := mustProfile(t, p)
-	opts.Profile = pr
-	if got := SelectStrategy(p.Regions[0], opts); got != ChoseLLP {
+	if got := classifyFirst(t, progCopyAdd(64), 4); got != ChoseLLP {
 		t.Errorf("selection = %v, want LLP", got)
 	}
 }
 
 func TestDOALLNotSelectedForCarriedLoop(t *testing.T) {
-	p := progCarried(48)
-	opts := Options{Cores: 4, Strategy: Hybrid}.withDefaults()
-	opts.Profile = mustProfile(t, p)
-	if got := SelectStrategy(p.Regions[0], opts); got == ChoseLLP {
+	if got := classifyFirst(t, progCarried(48), 4); got == ChoseLLP {
 		t.Error("carried-dependence loop selected as LLP")
 	}
 }

@@ -42,25 +42,6 @@ func genCoupledCandidate(r *ir.Region, opts Options) (*core.CompiledRegion, *ir.
 	return cr, target, pr, nil
 }
 
-// genILP emits the coupled candidate — unless the static estimate says the
-// region gains nothing from lock-step distribution (no exploitable ILP, or
-// misses dominate), in which case it stays serial: coupled tails and
-// unioned lock-step stalls would only slow it down.
-func genILP(r *ir.Region, opts Options) (*core.CompiledRegion, error) {
-	coupled, target, upr, err := genCoupledCandidate(r, opts)
-	if err != nil {
-		return nil, err
-	}
-	serial, err := genSerial(r, opts.Cores)
-	if err != nil {
-		return nil, err
-	}
-	if EstimateCycles(coupled, target, upr) < EstimateCycles(serial, r, opts.Profile) {
-		return coupled, nil
-	}
-	return serial, nil
-}
-
 // slotGrid is the per-core reservation table of one block's schedule.
 type slotGrid struct {
 	width int

@@ -60,37 +60,21 @@ func TestEstimateTracksMeasurement(t *testing.T) {
 
 func TestSelectStrategyShapes(t *testing.T) {
 	// DOALL loop -> LLP.
-	{
-		p := progCopyAdd(64)
-		opts := Options{Cores: 4, Profile: mustProfile(t, p)}.withDefaults()
-		if got := SelectStrategy(p.Regions[0], opts); got != ChoseLLP {
-			t.Errorf("copyadd selection = %v, want LLP", got)
-		}
+	if got := classifyFirst(t, progCopyAdd(64), 4); got != ChoseLLP {
+		t.Errorf("copyadd selection = %v, want LLP", got)
 	}
-	// Serial recurrence -> never LLP; single or a technique that measured
+	// Serial recurrence -> never LLP; single or a technique that estimates
 	// better.
-	{
-		p := progCarried(48)
-		opts := Options{Cores: 4, Profile: mustProfile(t, p)}.withDefaults()
-		if got := SelectStrategy(p.Regions[0], opts); got == ChoseLLP {
-			t.Errorf("carried loop selected as LLP")
-		}
+	if got := classifyFirst(t, progCarried(48), 4); got == ChoseLLP {
+		t.Errorf("carried loop selected as LLP")
 	}
 	// Single core -> single.
-	{
-		p := progCopyAdd(64)
-		opts := Options{Cores: 1, Profile: mustProfile(t, p)}.withDefaults()
-		if got := SelectStrategy(p.Regions[0], opts); got != ChoseSingle {
-			t.Errorf("1-core selection = %v, want single", got)
-		}
+	if got := classifyFirst(t, progCopyAdd(64), 1); got != ChoseSingle {
+		t.Errorf("1-core selection = %v, want single", got)
 	}
 	// Tiny region -> single (overhead floor).
-	{
-		p := progCopyAdd(2)
-		opts := Options{Cores: 4, Profile: mustProfile(t, p)}.withDefaults()
-		if got := SelectStrategy(p.Regions[0], opts); got != ChoseSingle {
-			t.Errorf("tiny region selection = %v, want single", got)
-		}
+	if got := classifyFirst(t, progCopyAdd(2), 4); got != ChoseSingle {
+		t.Errorf("tiny region selection = %v, want single", got)
 	}
 }
 

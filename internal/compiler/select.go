@@ -1,16 +1,11 @@
 package compiler
 
-import (
-	"voltron/internal/core"
-	"voltron/internal/ir"
-)
-
 // Region-by-region parallelism selection (paper §4.2): statistical DOALL
 // loops first (no communication or synchronization — the most efficient
-// parallelism), then DSWP if a balanced pipeline is projected, then strands
-// in decoupled mode for memory-bound regions, and coupled-mode ILP for
-// regions with predictable latencies. Regions too small to amortize any
-// parallelization overhead stay serial.
+// parallelism), then the best of serial, coupled-mode ILP and decoupled
+// fine-grain TLP. Regions too small to amortize any parallelization
+// overhead stay serial. Measured selection (measured.go) and the tiered
+// classifier (adaptive.go) implement the ranking.
 
 // Choice names the technique selected for a region.
 type Choice int
@@ -41,57 +36,3 @@ func (c Choice) String() string {
 // minRegionOps is the dynamic-size floor below which a region is not worth
 // parallelizing (thread spawn and communication overheads dominate).
 const minRegionOps = 64
-
-// SelectStrategy decides how one region should be parallelized.
-func SelectStrategy(r *ir.Region, opts Options) Choice {
-	c, _, err := chooseRegion(r, opts.withDefaults())
-	if err != nil {
-		return ChoseSingle
-	}
-	return c
-}
-
-// genHybrid compiles one region with the selected technique.
-func genHybrid(r *ir.Region, opts Options) (*core.CompiledRegion, error) {
-	_, cr, err := chooseRegion(r, opts)
-	return cr, err
-}
-
-// chooseRegion implements the paper's selection order: statistical DOALL
-// loops first (no communication or synchronization at all), then the best
-// of {serial, coupled ILP, decoupled fine-grain TLP} by static cycle
-// estimate.
-func chooseRegion(r *ir.Region, opts Options) (Choice, *core.CompiledRegion, error) {
-	serial, err := genSerial(r, opts.Cores)
-	if err != nil {
-		return ChoseSingle, nil, err
-	}
-	if opts.Cores <= 1 {
-		return ChoseSingle, serial, nil
-	}
-	small := opts.Profile != nil && opts.Profile.RegionOps != nil &&
-		r.ID < len(opts.Profile.RegionOps) && opts.Profile.RegionOps[r.ID] < minRegionOps
-	if small {
-		return ChoseSingle, serial, nil
-	}
-	if cr, ok, err := tryDOALL(r, opts); err != nil {
-		return ChoseSingle, nil, err
-	} else if ok {
-		return ChoseLLP, cr, nil
-	}
-	bestChoice, best := ChoseSingle, serial
-	bestEst := EstimateCycles(serial, r, opts.Profile)
-	if coupled, target, upr, err := genCoupledCandidate(r, opts); err != nil {
-		return ChoseSingle, nil, err
-	} else if est := EstimateCycles(coupled, target, upr); est < bestEst {
-		bestChoice, best, bestEst = ChoseILP, coupled, est
-	}
-	ftlp, err := genFTLP(r, opts)
-	if err != nil {
-		return ChoseSingle, nil, err
-	}
-	if est := EstimateCycles(ftlp, r, opts.Profile); est < bestEst {
-		bestChoice, best, bestEst = ChoseFTLP, ftlp, est
-	}
-	return bestChoice, best, nil
-}

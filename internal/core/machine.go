@@ -45,7 +45,7 @@ type Config struct {
 	// Tracer, when non-nil, collects the structured timeline of the run:
 	// per-core stall spans, operand- and queue-network events, spawn/sleep
 	// transitions, cache-miss fills, transactions and region boundaries.
-	// Render with its WriteChrome/WriteText/Report methods. Nil tracing
+	// Render with its WriteChrome/Report methods. Nil tracing
 	// costs a single nil check at each emit site; the event loop stays
 	// allocation-free either way (enforced by TestEventLoopZeroAllocs).
 	Tracer *trace.Tracer
@@ -523,9 +523,6 @@ func (rs *runState) runCoupled() error {
 			if err := rs.execInst(cs, in, true); err != nil {
 				return err
 			}
-			if rs.tr != nil {
-				rs.tr.Issue(rs.now, cs.id, cs.pc, in)
-			}
 			rs.charge(cs.id, stats.Busy)
 			if cs.issuedBranch {
 				branches++
@@ -729,9 +726,6 @@ func (rs *runState) stepDecoupled(cs *coreState) (acted bool, wake int64, err er
 	cs.issuedBranch, cs.halted = false, false
 	if err := rs.execInst(cs, in, false); err != nil {
 		return false, 0, err
-	}
-	if rs.tr != nil {
-		rs.tr.Issue(rs.now, cs.id, cs.pc, in)
 	}
 	rs.charge(cs.id, stats.Busy)
 	rs.lastProg = rs.now

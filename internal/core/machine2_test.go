@@ -1,8 +1,6 @@
 package core
 
 import (
-	"bytes"
-	"strings"
 	"testing"
 
 	"voltron/internal/ir"
@@ -222,23 +220,26 @@ func TestCoreCountMismatchRejected(t *testing.T) {
 	}
 }
 
-// TestTraceFacility: the text rendering of a traced run carries region
-// markers and issue lines in both modes.
+// TestTraceFacility: a traced DOALL run records its region boundary,
+// transactions and thread spawn, under the event loop and under the
+// reference stepper.
 func TestTraceFacility(t *testing.T) {
-	cp, _ := doallProgram(false)
-	cfg := DefaultConfig(2)
-	cfg.Tracer = trace.New()
-	if _, err := New(cfg).Run(cp); err != nil {
-		t.Fatal(err)
-	}
-	var buf bytes.Buffer
-	if err := cfg.Tracer.WriteText(&buf); err != nil {
-		t.Fatal(err)
-	}
-	out := buf.String()
-	for _, want := range []string{"=== region", "txbegin", "txcommit", "spawn", "store"} {
-		if !strings.Contains(out, want) {
-			t.Errorf("trace missing %q", want)
+	for _, ref := range []bool{false, true} {
+		cp, _ := doallProgram(false)
+		cfg := DefaultConfig(2)
+		cfg.Reference = ref
+		cfg.Tracer = trace.New()
+		if _, err := New(cfg).Run(cp); err != nil {
+			t.Fatal(err)
+		}
+		seen := map[trace.Kind]bool{}
+		for _, e := range cfg.Tracer.Events {
+			seen[e.Kind] = true
+		}
+		for _, want := range []trace.Kind{trace.KindRegionBegin, trace.KindTxBegin, trace.KindTxCommit, trace.KindSpawn} {
+			if !seen[want] {
+				t.Errorf("reference=%v: trace has no %s event", ref, want)
+			}
 		}
 	}
 }

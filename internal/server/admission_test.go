@@ -19,7 +19,7 @@ import (
 // make several simulate-class jobs that do not collapse in the cache.
 func namedMediumJob(name string) string {
 	return fmt.Sprintf(`{
-		"program": {"name": %q, "kernels": [
+		"program": {"kind": "kernels", "name": %q, "kernels": [
 			{"kind": "pipeline", "name": "p", "table": 16384, "n": 16384, "work": 16}
 		]},
 		"strategy": "serial", "cores": 1
@@ -89,7 +89,7 @@ func TestAdmissionSheds429(t *testing.T) {
 	// shed assertions below (a beefed-up medium, not slowJob — this test
 	// only needs hundreds of milliseconds of occupancy, not tens of seconds).
 	occupier := `{
-		"program": {"name": "occupy", "kernels": [
+		"program": {"kind": "kernels", "name": "occupy", "kernels": [
 			{"kind": "pipeline", "name": "p", "table": 16384, "n": 16384, "work": 64}
 		]},
 		"strategy": "serial", "cores": 1

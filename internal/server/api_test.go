@@ -11,8 +11,9 @@ import (
 	"voltron/internal/spec"
 )
 
-// The v1 surface contract: schema version, strategy metadata, deprecated
-// field aliases, and the traced-job flow (trace URL + stall report).
+// The v1 surface contract: schema version, strategy metadata, rejection of
+// the retired request spellings, and the traced-job flow (trace URL + stall
+// report).
 
 func TestJobResponseSchemaVersion(t *testing.T) {
 	_, ts := newTestServer(t, Config{})
@@ -53,48 +54,39 @@ func TestStrategiesEndpoint(t *testing.T) {
 	}
 }
 
-// TestDeprecatedFieldAliases: the pre-v1 names "benchmark" and "mode" still
-// decode (into bench/strategy), are flagged in X-Voltron-Deprecated along
-// with the v1 top-level "bench" spelling itself, and land on the same cache
-// entry as the v2 program-union spelling.
-func TestDeprecatedFieldAliases(t *testing.T) {
-	_, ts := newTestServer(t, Config{})
-	resp, b := postJob(t, ts, `{"benchmark": "rawcaudio", "mode": "llp", "cores": 2}`)
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("status = %d, body %s", resp.StatusCode, b)
+// TestLegacySpellingsRejected: the pre-v2 request spellings fail fast with
+// a typed 400 — the retired top-level fields as unknown fields
+// (bad_request), a program without a kind as an invalid spec (bad_spec) —
+// and never reach the caches.
+func TestLegacySpellingsRejected(t *testing.T) {
+	s, ts := newTestServer(t, Config{})
+	for _, c := range []struct{ name, body, code string }{
+		{"v1 bench", `{"bench": "rawcaudio", "strategy": "llp", "cores": 2}`, spec.ErrBadRequest},
+		{"benchmark alias", `{"benchmark": "rawcaudio", "strategy": "llp", "cores": 2}`, spec.ErrBadRequest},
+		{"mode alias", `{"program": {"kind": "bench", "bench": "rawcaudio"}, "mode": "llp", "cores": 2}`, spec.ErrBadRequest},
+		{"static_selection", `{"program": {"kind": "bench", "bench": "rawcaudio"}, "compiler": {"static_selection": true}}`, spec.ErrBadRequest},
+		{"kind-less kernels", `{"program": {"kernels": [{"kind": "doall-map"}]}, "strategy": "llp"}`, spec.ErrBadSpec},
+		{"kind-less bench", `{"program": {"bench": "rawcaudio"}}`, spec.ErrBadSpec},
+	} {
+		for _, path := range []string{"/v1/jobs", "/v1/validate"} {
+			resp, err := http.Post(ts.URL+path, "application/json", strings.NewReader(c.body))
+			if err != nil {
+				t.Fatal(err)
+			}
+			b, _ := io.ReadAll(resp.Body)
+			resp.Body.Close()
+			if resp.StatusCode != http.StatusBadRequest {
+				t.Errorf("%s %s: status = %d, want 400 (body %s)", c.name, path, resp.StatusCode, b)
+				continue
+			}
+			var er ErrorResponse
+			if err := json.Unmarshal(b, &er); err != nil || er.Code != c.code {
+				t.Errorf("%s %s: error body %s, want code %q", c.name, path, b, c.code)
+			}
+		}
 	}
-	if dep := resp.Header.Get("X-Voltron-Deprecated"); dep != "benchmark, mode, bench" {
-		t.Errorf("X-Voltron-Deprecated = %q, want %q", dep, "benchmark, mode, bench")
-	}
-	jr := decodeJob(t, b)
-	if jr.Bench != "rawcaudio" || jr.Strategy != "llp" {
-		t.Errorf("aliases decoded to bench=%q strategy=%q", jr.Bench, jr.Strategy)
-	}
-
-	// The v1 top-level bench spelling still works, is flagged, and hits the
-	// alias's cache entry (all spellings normalize away before hashing).
-	resp1, b1 := postJob(t, ts, `{"bench": "rawcaudio", "strategy": "llp", "cores": 2}`)
-	if resp1.Header.Get("X-Voltron-Cache") != "hit" {
-		t.Errorf("v1 respelling missed the cache (status %q)", resp1.Header.Get("X-Voltron-Cache"))
-	}
-	if dep := resp1.Header.Get("X-Voltron-Deprecated"); dep != "bench" {
-		t.Errorf("X-Voltron-Deprecated = %q, want %q", dep, "bench")
-	}
-	if string(b) != string(b1) {
-		t.Errorf("alias and v1 bodies differ:\n%s\n%s", b, b1)
-	}
-
-	// The canonical v2 spelling of the same job also hits that entry and is
-	// not flagged.
-	resp2, b2 := postJob(t, ts, `{"program": {"kind": "bench", "bench": "rawcaudio"}, "strategy": "llp", "cores": 2}`)
-	if resp2.Header.Get("X-Voltron-Cache") != "hit" {
-		t.Errorf("canonical respelling missed the cache (status %q)", resp2.Header.Get("X-Voltron-Cache"))
-	}
-	if resp2.Header.Get("X-Voltron-Deprecated") != "" {
-		t.Errorf("canonical request flagged deprecated fields: %q", resp2.Header.Get("X-Voltron-Deprecated"))
-	}
-	if string(b) != string(b2) {
-		t.Errorf("v1 and v2 bodies differ:\n%s\n%s", b, b2)
+	if m := s.Metrics(); m.Simulations != 0 || m.CacheMisses != 0 {
+		t.Errorf("rejected spellings reached the pipeline: simulations=%d misses=%d", m.Simulations, m.CacheMisses)
 	}
 }
 
@@ -106,7 +98,7 @@ func TestDeprecatedFieldAliases(t *testing.T) {
 func TestTracedJob(t *testing.T) {
 	_, ts := newTestServer(t, Config{})
 	body := `{
-		"program": {"name": "t", "kernels": [{"kind": "pipeline", "name": "p", "table": 512, "n": 64, "work": 2}]},
+		"program": {"kind": "kernels", "name": "t", "kernels": [{"kind": "pipeline", "name": "p", "table": 512, "n": 64, "work": 2}]},
 		"strategy": "ftlp", "cores": 2, "trace": true
 	}`
 	resp, b := postJob(t, ts, body)
@@ -178,7 +170,7 @@ func TestTracedJob(t *testing.T) {
 func TestTraceEviction(t *testing.T) {
 	_, ts := newTestServer(t, Config{TraceEntries: 1})
 	job := func(n int64) string {
-		return `{"program": {"name": "e", "kernels": [{"kind": "serial-chain", "name": "c", "n": ` +
+		return `{"program": {"kind": "kernels", "name": "e", "kernels": [{"kind": "serial-chain", "name": "c", "n": ` +
 			strconv.FormatInt(n, 10) + `}]}, "strategy": "serial", "cores": 1, "trace": true}`
 	}
 	_, b1 := postJob(t, ts, job(16))

@@ -15,11 +15,11 @@ import (
 // requests with warm-machine reuse disabled.
 func BenchmarkServeJob(b *testing.B) {
 	jobs := [2]string{
-		`{"program": {"name": "benchA", "kernels": [
+		`{"program": {"kind": "kernels", "name": "benchA", "kernels": [
 			{"kind": "doall-map", "name": "m", "n": 64, "work": 2},
 			{"kind": "serial-chain", "name": "c", "n": 16}
 		]}, "strategy": "llp", "cores": 2}`,
-		`{"program": {"name": "benchB", "kernels": [
+		`{"program": {"kind": "kernels", "name": "benchB", "kernels": [
 			{"kind": "doall-map", "name": "m", "n": 96, "work": 2},
 			{"kind": "serial-chain", "name": "c", "n": 24}
 		]}, "strategy": "llp", "cores": 2}`,

@@ -22,6 +22,7 @@ func clusterJob(t *testing.T, i int, traced bool) ([]byte, string) {
 	t.Helper()
 	req := &spec.JobRequest{
 		Program: &spec.ProgramSpec{
+			Kind: spec.KindKernels,
 			Name: fmt.Sprintf("cl%03d", i),
 			Kernels: []spec.KernelSpec{
 				{Kind: "doall-map", Name: "m", N: 64, Work: 2},

@@ -14,7 +14,7 @@ import (
 // test can reliably cancel it mid-flight.
 func slowJob() string {
 	return `{
-		"program": {"name": "slow", "kernels": [
+		"program": {"kind": "kernels", "name": "slow", "kernels": [
 			{"kind": "pipeline", "name": "p0", "table": 65536, "n": 65536, "work": 64},
 			{"kind": "pipeline", "name": "p1", "table": 65536, "n": 65536, "work": 64},
 			{"kind": "pipeline", "name": "p2", "table": 65536, "n": 65536, "work": 64},
@@ -28,7 +28,7 @@ func slowJob() string {
 // requests to overlap, short enough to run many times.
 func mediumJob() string {
 	return `{
-		"program": {"name": "medium", "kernels": [
+		"program": {"kind": "kernels", "name": "medium", "kernels": [
 			{"kind": "pipeline", "name": "p", "table": 16384, "n": 16384, "work": 16}
 		]},
 		"strategy": "serial", "cores": 1

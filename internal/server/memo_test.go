@@ -3,7 +3,7 @@ package server
 // Request-memo tests: a repeated body is served from the memo (body digest
 // → content key) without decoding, and that fast path must be
 // indistinguishable from a slow-path hit — same bytes, same headers, same
-// counters — across every program kind and deprecated spelling, under
+// counters — across every program kind and option block, under
 // eviction, for invalid bodies, and under concurrency.
 
 import (
@@ -20,16 +20,14 @@ import (
 	"voltron/internal/spec"
 )
 
-// memoCases covers every program kind and each deprecated spelling.
+// memoCases covers every program kind and the option blocks.
 func memoCases() []struct{ name, body string } {
 	return []struct{ name, body string }{
 		{"bench", `{"program": {"kind": "bench", "bench": "rawcaudio"}, "strategy": "llp", "cores": 2}`},
-		{"v1 bench", `{"bench": "rawcaudio", "strategy": "serial", "cores": 1}`},
-		{"aliases", `{"benchmark": "rawcaudio", "mode": "ilp", "cores": 2}`},
-		{"kernels", strings.Replace(tinyJob(), `"name": "tiny",`, `"kind": "kernels", "name": "tiny",`, 1)},
-		{"kind-less kernels", tinyJob()},
-		{"static_selection", strings.Replace(tinyJob(), `"strategy": "llp", "cores": 2`,
-			`"strategy": "hybrid", "cores": 2, "compiler": {"static_selection": true}`, 1)},
+		{"serial bench", `{"program": {"kind": "bench", "bench": "rawcaudio"}, "strategy": "serial", "cores": 1}`},
+		{"kernels", tinyJob()},
+		{"static selection", strings.Replace(tinyJob(), `"strategy": "llp", "cores": 2`,
+			`"strategy": "hybrid", "cores": 2, "compiler": {"select": "static"}`, 1)},
 		{"baseline", strings.Replace(tinyJob(), `"cores": 2`, `"cores": 2, "baseline": true`, 1)},
 		{"source", sourceJob("")},
 		{"traced source", sourceJob(`, "trace": true`)},
@@ -152,10 +150,11 @@ func TestMemoStaleKeyFallsBack(t *testing.T) {
 // returns the same typed error every time, and never enters the memo.
 func TestMemoInvalidBodyNotMemoized(t *testing.T) {
 	s, ts := newTestServer(t, Config{})
-	for _, c := range []struct{ body, code, deprecated string }{
-		{`{"benchmark": "nonesuch"}`, spec.ErrUnknownBench, "benchmark, bench"},
-		{`{"bench": "rawcaudio", "cores": 99}`, spec.ErrBadSpec, "bench"},
-		{`{"program": {"kind": "bench", "bench": "cjpeg"}} {"junk": true} garbage`, spec.ErrBadRequest, ""},
+	for _, c := range []struct{ body, code string }{
+		{`{"program": {"kind": "bench", "bench": "nonesuch"}}`, spec.ErrUnknownBench},
+		{`{"program": {"kind": "bench", "bench": "rawcaudio"}, "cores": 99}`, spec.ErrBadSpec},
+		{`{"program": {"kind": "bench", "bench": "cjpeg"}} {"junk": true} garbage`, spec.ErrBadRequest},
+		{`{"bench": "rawcaudio"}`, spec.ErrBadRequest},
 	} {
 		var first []byte
 		for i := 0; i < 3; i++ {
@@ -166,9 +165,6 @@ func TestMemoInvalidBodyNotMemoized(t *testing.T) {
 			var er ErrorResponse
 			if err := json.Unmarshal(b, &er); err != nil || er.Code != c.code {
 				t.Errorf("%s: error body %s, want code %q", c.body, b, c.code)
-			}
-			if got := resp.Header.Get("X-Voltron-Deprecated"); got != c.deprecated {
-				t.Errorf("%s: X-Voltron-Deprecated = %q, want %q", c.body, got, c.deprecated)
 			}
 			if i == 0 {
 				first = b

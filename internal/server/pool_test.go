@@ -15,7 +15,7 @@ import (
 )
 
 // testRequest decodes and normalizes the tinyJob request.
-func testRequest(t testing.TB) *JobRequest {
+func testRequest(t testing.TB) *spec.JobRequest {
 	t.Helper()
 	req, _, err := spec.DecodeJob(strings.NewReader(tinyJob()))
 	if err != nil {
@@ -97,7 +97,7 @@ func TestMachinePoolWideShapeReset(t *testing.T) {
 		if v.mesh != 0 {
 			machine = fmt.Sprintf(`, "machine": {"mesh_cols": %d}`, v.mesh)
 		}
-		job := fmt.Sprintf(`{"program": {"name": "wide", "kernels": [
+		job := fmt.Sprintf(`{"program": {"kind": "kernels", "name": "wide", "kernels": [
 			{"kind": "doall-map", "name": "m", "n": 96, "work": 2},
 			{"kind": "serial-chain", "name": "c", "n": 16}
 		]}, "strategy": "hybrid", "cores": %d%s}`, v.cores, machine)
@@ -153,14 +153,14 @@ func TestMachinePoolWideShapeReset(t *testing.T) {
 func TestPooledMatchesFreshServer(t *testing.T) {
 	jobs := []string{
 		tinyJob(),
-		`{"program": {"name": "tiny", "kernels": [
+		`{"program": {"kind": "kernels", "name": "tiny", "kernels": [
 			{"kind": "doall-map", "name": "m", "n": 64, "work": 2},
 			{"kind": "serial-chain", "name": "c", "n": 16}
 		]}, "strategy": "hybrid", "cores": 4, "baseline": true}`,
-		`{"program": {"name": "pipe", "kernels": [
+		`{"program": {"kind": "kernels", "name": "pipe", "kernels": [
 			{"kind": "pipeline", "name": "p", "n": 48}
 		]}, "strategy": "ftlp", "cores": 4, "trace": true}`,
-		`{"program": {"name": "ilp", "kernels": [
+		`{"program": {"kind": "kernels", "name": "ilp", "kernels": [
 			{"kind": "ilp-loop", "name": "i", "n": 32}
 		]}, "strategy": "ilp", "cores": 2}`,
 		tinyJob(), // repeat: served from cache, must match the first answer
@@ -199,7 +199,7 @@ func TestCompileCacheSharedAcrossVariants(t *testing.T) {
 		}
 	}
 	job := func(extra string) string {
-		return `{"program": {"name": "ccache", "kernels": [
+		return `{"program": {"kind": "kernels", "name": "ccache", "kernels": [
 			{"kind": "doall-map", "name": "m", "n": 64, "work": 2}
 		]}, "strategy": "llp", "cores": 2` + extra + `}`
 	}
@@ -210,7 +210,7 @@ func TestCompileCacheSharedAcrossVariants(t *testing.T) {
 	// A result-cache hit never consults the compile stage: no header.
 	post(job(``), "hit", "")
 	// A different strategy is a different artifact.
-	post(`{"program": {"name": "ccache", "kernels": [
+	post(`{"program": {"kind": "kernels", "name": "ccache", "kernels": [
 			{"kind": "doall-map", "name": "m", "n": 64, "work": 2}
 		]}, "strategy": "hybrid", "cores": 2}`, "miss", "miss")
 
@@ -232,7 +232,7 @@ func TestCompileCacheSharedAcrossVariants(t *testing.T) {
 func TestPoolMetricsAccount(t *testing.T) {
 	s, ts := newTestServer(t, Config{Workers: 2, CacheEntries: 1})
 	job := func(n int) string {
-		return fmt.Sprintf(`{"program": {"name": "burst", "kernels": [
+		return fmt.Sprintf(`{"program": {"kind": "kernels", "name": "burst", "kernels": [
 			{"kind": "doall-map", "name": "m", "n": %d, "work": 2}
 		]}, "strategy": "llp", "cores": 2}`, 64+16*n)
 	}

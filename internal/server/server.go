@@ -454,33 +454,28 @@ func (s *Server) readBody(w http.ResponseWriter, r *http.Request) (body []byte, 
 }
 
 // decodeRequest is the front half shared by POST /v1/jobs and
-// /v1/validate: it decodes the body, names deprecated spellings in the
-// X-Voltron-Deprecated header (also returned, joined) and normalizes the
-// request. On failure it writes the typed error response and returns nil.
-func (s *Server) decodeRequest(w http.ResponseWriter, body []byte) (*JobRequest, string) {
-	req, deprecated, err := spec.DecodeJob(bytes.NewReader(body))
+// /v1/validate: it decodes and normalizes the body. On failure it writes
+// the typed error response and returns nil.
+func (s *Server) decodeRequest(w http.ResponseWriter, body []byte) *spec.JobRequest {
+	req, _, err := spec.DecodeJob(bytes.NewReader(body))
 	if err != nil {
 		s.writeError(w, http.StatusBadRequest, fmt.Errorf("decoding request: %w", err))
-		return nil, ""
-	}
-	dep := strings.Join(deprecated, ", ")
-	if dep != "" {
-		w.Header().Set("X-Voltron-Deprecated", dep)
+		return nil
 	}
 	if err := req.Normalize(func(b string) bool {
 		_, err := s.suite.Program(b)
 		return err == nil
 	}); err != nil {
 		s.writeError(w, http.StatusBadRequest, err)
-		return nil, ""
+		return nil
 	}
-	return req, dep
+	return req
 }
 
 // resolve materializes a normalized job's program. Benchmarks come from the
 // suite, pre-built and pre-profiled; kernel and source programs build here
 // with a nil profile (the compiler profiles them).
-func (s *Server) resolve(req *JobRequest) (*ir.Program, *prof.Profile, error) {
+func (s *Server) resolve(req *spec.JobRequest) (*ir.Program, *prof.Profile, error) {
 	if req.Program.Kind != spec.KindBench {
 		p, err := req.Program.Build()
 		return p, nil, err
@@ -494,11 +489,11 @@ func (s *Server) resolve(req *JobRequest) (*ir.Program, *prof.Profile, error) {
 }
 
 // memoEntry is what the request memo keeps per body digest: the normalized
-// job's content key, its strategy (the latency histogram's label) and its
-// deprecation header. Never the *JobRequest: a source request would pin its
-// checked AST for as long as the entry lives.
+// job's content key and its strategy (the latency histogram's label).
+// Never the *JobRequest: a source request would pin its checked AST for as
+// long as the entry lives.
 type memoEntry struct {
-	key, strategy, deprecated string
+	key, strategy string
 }
 
 // handleJob runs one job. A result-cache hit costs a SHA-256 of the body
@@ -516,22 +511,17 @@ func (s *Server) handleJob(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	digest := sha256.Sum256(body)
-	var req *JobRequest // decoded only when the memo cannot answer
+	var req *spec.JobRequest // decoded only when the memo cannot answer
 	m, cached := s.memo.get(digest)
 	var hit []byte
 	if cached {
 		hit, cached = s.cache.completed(m.key)
 	}
-	if cached {
-		if m.deprecated != "" {
-			w.Header().Set("X-Voltron-Deprecated", m.deprecated)
-		}
-	} else {
-		var dep string
-		if req, dep = s.decodeRequest(w, body); req == nil {
+	if !cached {
+		if req = s.decodeRequest(w, body); req == nil {
 			return
 		}
-		m = memoEntry{key: req.Key(), strategy: req.Strategy, deprecated: dep}
+		m = memoEntry{key: req.Key(), strategy: req.Strategy}
 		s.memo.put(digest, m)
 		hit, cached = s.cache.completed(m.key)
 	}
@@ -642,7 +632,7 @@ func (s *Server) handleValidate(w http.ResponseWriter, r *http.Request) {
 	if !ok {
 		return
 	}
-	req, _ := s.decodeRequest(w, body)
+	req := s.decodeRequest(w, body)
 	if req == nil {
 		return
 	}
@@ -749,7 +739,7 @@ type jobOutcome struct {
 // nested jobs (a baseline comparison inside a running job) always compute
 // locally, which both prevents forwarding loops and keeps one job's latency
 // bounded by a single forward hop.
-func (s *Server) jobBody(ctx context.Context, req *JobRequest, key string, forwarded bool) (jobOutcome, error) {
+func (s *Server) jobBody(ctx context.Context, req *spec.JobRequest, key string, forwarded bool) (jobOutcome, error) {
 	var out jobOutcome
 	body, status, err := s.cache.get(ctx, key, func() ([]byte, error) {
 		if owner := s.ownerOf(key); owner != "" && !forwarded {
@@ -776,7 +766,7 @@ func (s *Server) jobBody(ctx context.Context, req *JobRequest, key string, forwa
 
 // runJob executes one normalized job (and, when asked, its serial
 // baseline) and assembles the response.
-func (s *Server) runJob(ctx context.Context, req *JobRequest, key string) (*JobResponse, cacheStatus, string, error) {
+func (s *Server) runJob(ctx context.Context, req *spec.JobRequest, key string) (*JobResponse, cacheStatus, string, error) {
 	res, tr, cstat, selMode, err := s.simulate(ctx, req)
 	if err != nil {
 		return nil, cstat, selMode, err
@@ -858,7 +848,7 @@ func (s *Server) runJob(ctx context.Context, req *JobRequest, key string) (*JobR
 // event stream. The returned cacheStatus says how stage one was satisfied
 // and the string how strategy selection decided the artifact
 // (core.SelectionSummary.Mode; "" when no selection ran).
-func (s *Server) simulate(ctx context.Context, req *JobRequest) (*core.RunResult, *trace.Tracer, cacheStatus, string, error) {
+func (s *Server) simulate(ctx context.Context, req *spec.JobRequest) (*core.RunResult, *trace.Tracer, cacheStatus, string, error) {
 	p, pr, err := s.resolve(req)
 	if err != nil {
 		return nil, nil, cacheMiss, "", err
@@ -918,7 +908,7 @@ func (s *Server) simulate(ctx context.Context, req *JobRequest) (*core.RunResult
 // simulates candidates — compile-stage work) and, when any region was
 // re-selected, replaces the cached artifact and re-simulates the job with a
 // fresh tracer. Returns nils when the report confirmed every static pick.
-func (s *Server) recheck(ctx context.Context, req *JobRequest, p *ir.Program, pr *prof.Profile,
+func (s *Server) recheck(ctx context.Context, req *spec.JobRequest, p *ir.Program, pr *prof.Profile,
 	ckey string, cp *core.CompiledProgram, rep *trace.Report) (*core.CompiledProgram, *core.RunResult, *trace.Tracer, error) {
 	select {
 	case s.compileSem <- struct{}{}:
@@ -951,7 +941,7 @@ func (s *Server) recheck(ctx context.Context, req *JobRequest, p *ir.Program, pr
 // threaded into the simulator, which fails fast. There are no standing
 // worker goroutines: every run executes on its request handler's
 // goroutine, so draining HTTP handlers drains the slots and nothing leaks.
-func (s *Server) run(ctx context.Context, req *JobRequest, cp *core.CompiledProgram, tr *trace.Tracer) (*core.RunResult, error) {
+func (s *Server) run(ctx context.Context, req *spec.JobRequest, cp *core.CompiledProgram, tr *trace.Tracer) (*core.RunResult, error) {
 	s.queued.Add(1)
 	select {
 	case s.runSem <- struct{}{}:

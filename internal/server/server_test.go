@@ -25,7 +25,7 @@ func newTestServer(t *testing.T, cfg Config) (*Server, *httptest.Server) {
 // tinyJob is a fast inline job used throughout the tests.
 func tinyJob() string {
 	return `{
-		"program": {"name": "tiny", "kernels": [
+		"program": {"kind": "kernels", "name": "tiny", "kernels": [
 			{"kind": "doall-map", "name": "m", "n": 64, "work": 2},
 			{"kind": "serial-chain", "name": "c", "n": 16}
 		]},
@@ -90,7 +90,7 @@ func TestBenchmarksList(t *testing.T) {
 func TestInlineJobWithBaseline(t *testing.T) {
 	_, ts := newTestServer(t, Config{})
 	resp, b := postJob(t, ts, `{
-		"program": {"name": "p", "kernels": [{"kind": "doall-map", "name": "m", "n": 128, "work": 3}]},
+		"program": {"kind": "kernels", "name": "p", "kernels": [{"kind": "doall-map", "name": "m", "n": 128, "work": 3}]},
 		"strategy": "llp", "cores": 2, "baseline": true
 	}`)
 	if resp.StatusCode != http.StatusOK {
@@ -113,7 +113,7 @@ func TestInlineJobWithBaseline(t *testing.T) {
 
 func TestBenchJob(t *testing.T) {
 	_, ts := newTestServer(t, Config{})
-	resp, b := postJob(t, ts, `{"bench": "rawcaudio", "strategy": "serial", "cores": 1}`)
+	resp, b := postJob(t, ts, `{"program": {"kind": "bench", "bench": "rawcaudio"}, "strategy": "serial", "cores": 1}`)
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("status = %d, body %s", resp.StatusCode, b)
 	}
@@ -152,8 +152,8 @@ func TestCanonicalizationDefaultsShareEntry(t *testing.T) {
 	// Spelling out the defaults must hash to the same cache entry as
 	// omitting them.
 	_, ts := newTestServer(t, Config{})
-	resp1, b1 := postJob(t, ts, `{"bench": "rawcaudio"}`)
-	resp2, b2 := postJob(t, ts, `{"bench": "rawcaudio", "strategy": "hybrid", "cores": 4}`)
+	resp1, b1 := postJob(t, ts, `{"program": {"kind": "bench", "bench": "rawcaudio"}}`)
+	resp2, b2 := postJob(t, ts, `{"program": {"kind": "bench", "bench": "rawcaudio"}, "strategy": "hybrid", "cores": 4}`)
 	if resp1.StatusCode != 200 || resp2.StatusCode != 200 {
 		t.Fatalf("statuses %d/%d: %s %s", resp1.StatusCode, resp2.StatusCode, b1, b2)
 	}
@@ -171,7 +171,7 @@ func TestInlineNamesDefaultAndCanonicalize(t *testing.T) {
 	// must share a cache entry with the spelled-out defaults.
 	_, ts := newTestServer(t, Config{})
 	resp1, b1 := postJob(t, ts, `{
-		"program": {"kernels": [{"kind": "doall-map", "n": 128, "work": 3}]},
+		"program": {"kind": "kernels", "kernels": [{"kind": "doall-map", "n": 128, "work": 3}]},
 		"strategy": "llp", "cores": 2
 	}`)
 	if resp1.StatusCode != http.StatusOK {
@@ -181,7 +181,7 @@ func TestInlineNamesDefaultAndCanonicalize(t *testing.T) {
 		t.Errorf("program name = %q, want the default \"inline\"", jr.Program)
 	}
 	resp2, b2 := postJob(t, ts, `{
-		"program": {"name": "inline", "kernels": [{"kind": "doall-map", "name": "k0", "n": 128, "work": 3}]},
+		"program": {"kind": "kernels", "name": "inline", "kernels": [{"kind": "doall-map", "name": "k0", "n": 128, "work": 3}]},
 		"strategy": "llp", "cores": 2
 	}`)
 	if got := resp2.Header.Get("X-Voltron-Cache"); got != "hit" {
@@ -198,15 +198,15 @@ func TestBadRequests(t *testing.T) {
 		name, body string
 	}{
 		{"malformed", `{`},
-		{"unknown field", `{"bench": "rawcaudio", "bogus": 1}`},
+		{"unknown field", `{"program": {"kind": "bench", "bench": "rawcaudio"}, "bogus": 1}`},
 		{"no program", `{}`},
-		{"both", `{"bench": "rawcaudio", "program": {"name": "p", "kernels": [{"kind": "branchy", "name": "b"}]}}`},
-		{"unknown bench", `{"bench": "nonesuch"}`},
-		{"unknown strategy", `{"bench": "rawcaudio", "strategy": "magic"}`},
-		{"cores out of range", `{"bench": "rawcaudio", "cores": 99}`},
-		{"unknown kernel kind", `{"program": {"name": "p", "kernels": [{"kind": "quantum", "name": "q"}]}}`},
-		{"oversized kernel", `{"program": {"name": "p", "kernels": [{"kind": "doall-map", "name": "m", "n": 1048576}]}}`},
-		{"duplicate kernel name", `{"program": {"name": "p", "kernels": [{"kind": "branchy", "name": "b"}, {"kind": "branchy", "name": "b"}]}}`},
+		{"two kinds", `{"program": {"kind": "bench", "bench": "rawcaudio", "kernels": [{"kind": "branchy", "name": "b"}]}}`},
+		{"unknown bench", `{"program": {"kind": "bench", "bench": "nonesuch"}}`},
+		{"unknown strategy", `{"program": {"kind": "bench", "bench": "rawcaudio"}, "strategy": "magic"}`},
+		{"cores out of range", `{"program": {"kind": "bench", "bench": "rawcaudio"}, "cores": 99}`},
+		{"unknown kernel kind", `{"program": {"kind": "kernels", "name": "p", "kernels": [{"kind": "quantum", "name": "q"}]}}`},
+		{"oversized kernel", `{"program": {"kind": "kernels", "name": "p", "kernels": [{"kind": "doall-map", "name": "m", "n": 1048576}]}}`},
+		{"duplicate kernel name", `{"program": {"kind": "kernels", "name": "p", "kernels": [{"kind": "branchy", "name": "b"}, {"kind": "branchy", "name": "b"}]}}`},
 		{"trailing data", `{"program": {"kind": "bench", "bench": "cjpeg"}} {"junk": true} garbage`},
 	}
 	for _, c := range cases {
@@ -287,7 +287,7 @@ func TestCacheLRUEviction(t *testing.T) {
 	s, ts := newTestServer(t, Config{CacheEntries: 2})
 	for i := 0; i < 4; i++ {
 		body := fmt.Sprintf(`{
-			"program": {"name": "p%d", "kernels": [{"kind": "serial-chain", "name": "c", "n": %d}]},
+			"program": {"kind": "kernels", "name": "p%d", "kernels": [{"kind": "serial-chain", "name": "c", "n": %d}]},
 			"strategy": "serial", "cores": 1
 		}`, i, 8+i)
 		if resp, b := postJob(t, ts, body); resp.StatusCode != 200 {
@@ -299,7 +299,7 @@ func TestCacheLRUEviction(t *testing.T) {
 	}
 	// The oldest entry was evicted: re-requesting it is a miss again.
 	resp, _ := postJob(t, ts, `{
-		"program": {"name": "p0", "kernels": [{"kind": "serial-chain", "name": "c", "n": 8}]},
+		"program": {"kind": "kernels", "name": "p0", "kernels": [{"kind": "serial-chain", "name": "c", "n": 8}]},
 		"strategy": "serial", "cores": 1
 	}`)
 	if got := resp.Header.Get("X-Voltron-Cache"); got != "miss" {

@@ -177,12 +177,9 @@ func TestValidateDiagnostics(t *testing.T) {
 // programs and profiles.
 func TestValidateBench(t *testing.T) {
 	_, ts := newTestServer(t, Config{})
-	resp, b := postValidate(t, ts, `{"bench": "rawcaudio", "cores": 4}`)
+	resp, b := postValidate(t, ts, `{"program": {"kind": "bench", "bench": "rawcaudio"}, "cores": 4}`)
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("status = %d, body %s", resp.StatusCode, b)
-	}
-	if dep := resp.Header.Get("X-Voltron-Deprecated"); dep != "bench" {
-		t.Errorf("X-Voltron-Deprecated = %q, want %q", dep, "bench")
 	}
 	var vr ValidateResponse
 	if err := json.Unmarshal(b, &vr); err != nil {
@@ -190,6 +187,25 @@ func TestValidateBench(t *testing.T) {
 	}
 	if vr.Kind != spec.KindBench || len(vr.Regions) == 0 {
 		t.Errorf("bench validate: %+v", vr)
+	}
+}
+
+// TestValidateMatchesCompile: validate reports the plan the compiler
+// installs, including for compiles that run no strategy selection — an llp
+// job lowers its DOALL map to transactions, so it validates as LLP, not as
+// the single-core plan a selecting classifier would report.
+func TestValidateMatchesCompile(t *testing.T) {
+	_, ts := newTestServer(t, Config{})
+	resp, b := postValidate(t, ts, `{"program": {"kind": "kernels", "kernels": [{"kind": "doall-map"}]}, "strategy": "llp", "cores": 4}`)
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("status = %d, body %s", resp.StatusCode, b)
+	}
+	var vr ValidateResponse
+	if err := json.Unmarshal(b, &vr); err != nil {
+		t.Fatalf("decoding %s: %v", b, err)
+	}
+	if len(vr.Regions) != 1 || vr.Regions[0].Choice != "LLP" || vr.Regions[0].Tier != "doall" {
+		t.Errorf("llp doall-map validates as %+v, want one LLP region of tier doall", vr.Regions)
 	}
 }
 

@@ -5,6 +5,9 @@ import (
 	"testing"
 )
 
+// bench is the bench-kind program union member for name.
+func bench(name string) *ProgramSpec { return &ProgramSpec{Kind: KindBench, Bench: name} }
+
 // normalized builds a normalized job request for key tests.
 func normalized(t *testing.T, r *JobRequest) *JobRequest {
 	t.Helper()
@@ -35,7 +38,7 @@ func TestCompileKeySplit(t *testing.T) {
 	runKeys := map[string]variant{}
 	compileKeys := map[string]string{} // compile key -> strategy/cores it stands for
 	for _, v := range variants {
-		r := normalized(t, &JobRequest{Bench: "x", Strategy: v.strategy, Cores: v.cores, Trace: v.trace})
+		r := normalized(t, &JobRequest{Program: bench("x"), Strategy: v.strategy, Cores: v.cores, Trace: v.trace})
 		rk, ck := r.Key(), r.CompileKey()
 		if prev, dup := runKeys[rk]; dup {
 			t.Errorf("run key collision: %+v and %+v", prev, v)
@@ -63,11 +66,11 @@ func TestCompileKeySplit(t *testing.T) {
 // cannot change compiler output, so they must not fragment the artifact
 // cache; compiler gates must.
 func TestCompileKeyIgnoresRunOnlyFields(t *testing.T) {
-	base := normalized(t, &JobRequest{Bench: "x"})
+	base := normalized(t, &JobRequest{Program: bench("x")})
 	sameArtifact := []*JobRequest{
-		{Bench: "x", Trace: true},
-		{Bench: "x", Baseline: true},
-		{Bench: "x", Machine: MachineOptions{RegionSyncLat: 9, QueueBaseLat: 7, QueueCap: -1}},
+		{Program: bench("x"), Trace: true},
+		{Program: bench("x"), Baseline: true},
+		{Program: bench("x"), Machine: MachineOptions{RegionSyncLat: 9, QueueBaseLat: 7, QueueCap: -1}},
 	}
 	for _, r := range sameArtifact {
 		r = normalized(t, r)
@@ -81,17 +84,17 @@ func TestCompileKeyIgnoresRunOnlyFields(t *testing.T) {
 	// The mesh-shape knob changes the machine, not the compiled artifact
 	// (the compiler estimates latencies against the default mesh). A 4-core
 	// strip only admits decoupled strategies, so this pair uses llp.
-	llp := normalized(t, &JobRequest{Bench: "x", Strategy: "llp"})
-	strip := normalized(t, &JobRequest{Bench: "x", Strategy: "llp", Machine: MachineOptions{MeshCols: 4}})
+	llp := normalized(t, &JobRequest{Program: bench("x"), Strategy: "llp"})
+	strip := normalized(t, &JobRequest{Program: bench("x"), Strategy: "llp", Machine: MachineOptions{MeshCols: 4}})
 	if strip.Key() == llp.Key() || strip.CompileKey() != llp.CompileKey() {
 		t.Errorf("mesh_cols must change the run key but not the compile key")
 	}
 	differentArtifact := []*JobRequest{
-		{Bench: "y"},
-		{Bench: "x", Strategy: "llp"},
-		{Bench: "x", Cores: 2},
-		{Bench: "x", Compiler: CompilerOptions{DSWPThreshold: 0.5}},
-		{Bench: "x", Compiler: CompilerOptions{StaticSelection: true}},
+		{Program: bench("y")},
+		{Program: bench("x"), Strategy: "llp"},
+		{Program: bench("x"), Cores: 2},
+		{Program: bench("x"), Compiler: CompilerOptions{DSWPThreshold: 0.5}},
+		{Program: bench("x"), Compiler: CompilerOptions{Select: "static"}},
 	}
 	for _, r := range differentArtifact {
 		r = normalized(t, r)
@@ -103,18 +106,13 @@ func TestCompileKeyIgnoresRunOnlyFields(t *testing.T) {
 
 // TestProgramUnionKeyAlgebra pins which spellings of the program union are
 // deliberately the SAME job (one cache entry, byte-identical responses) and
-// which are deliberately DISTINCT. Every legacy spelling must land on its
-// v2 canonical form's key, or the cache fragments across API versions.
+// which are deliberately DISTINCT.
 func TestProgramUnionKeyAlgebra(t *testing.T) {
 	const src = "param n = 8;\nvar acc int = 0;\narray out[n] int;\nfunc main() {\n\tfor i = 0; i < n; i = i + 1 {\n\t\tout[i] = i * 3;\n\t\tacc = acc + i;\n\t}\n}\n"
 	equal := [][2]*JobRequest{
-		{ // v1 top-level bench == v2 bench-kind union
-			{Bench: "x"},
-			{Program: &ProgramSpec{Kind: KindBench, Bench: "x"}},
-		},
-		{ // kind-less v1 kernels == tagged v2 kernels
-			{Program: &ProgramSpec{Kernels: []KernelSpec{{Kind: "doall-map", N: 64}}}},
+		{ // defaulted kernel names == spelled-out kernel names
 			{Program: &ProgramSpec{Kind: KindKernels, Kernels: []KernelSpec{{Kind: "doall-map", N: 64}}}},
+			{Program: &ProgramSpec{Kind: KindKernels, Name: "inline", Kernels: []KernelSpec{{Kind: "doall-map", Name: "k0", N: 64}}}},
 		},
 		{ // an input spelled at its declared default == the input omitted
 			{Program: &ProgramSpec{Kind: KindSource, Source: src, Inputs: map[string]int64{"n": 8}}},
@@ -131,8 +129,8 @@ func TestProgramUnionKeyAlgebra(t *testing.T) {
 		}
 	}
 	distinct := []*JobRequest{
-		{Bench: "x"},
-		{Bench: "y"},
+		{Program: bench("x")},
+		{Program: bench("y")},
 		{Program: &ProgramSpec{Kind: KindKernels, Kernels: []KernelSpec{{Kind: "doall-map", N: 64}}}},
 		// Program kinds never collide even when their names would.
 		{Program: &ProgramSpec{Kind: KindSource, Name: "x", Source: src}},
@@ -156,7 +154,7 @@ func TestProgramUnionKeyAlgebra(t *testing.T) {
 // its trace blob (both are addressed by the job key), so a fleet places
 // them on the same owner.
 func TestRingKeyDerivation(t *testing.T) {
-	r := normalized(t, &JobRequest{Bench: "x"})
+	r := normalized(t, &JobRequest{Program: bench("x")})
 	rk := r.RingKey()
 	if rk != RingKeyOf(r.Key()) {
 		t.Errorf("RingKey() = %q, RingKeyOf(Key()) = %q; want equal", rk, RingKeyOf(r.Key()))
@@ -172,7 +170,7 @@ func TestRingKeyDerivation(t *testing.T) {
 	}
 	// Distinct jobs shard independently: the traced twin is a different run
 	// key, hence (in general) a different ring position.
-	traced := normalized(t, &JobRequest{Bench: "x", Trace: true})
+	traced := normalized(t, &JobRequest{Program: bench("x"), Trace: true})
 	if traced.RingKey() == rk {
 		t.Error("traced twin shares the untraced job's ring key")
 	}
@@ -182,12 +180,12 @@ func TestRingKeyDerivation(t *testing.T) {
 // machine shape and latency overrides, so warm machines are shared across
 // programs and strategies but never across machine configurations.
 func TestMachineKeyGroupsPools(t *testing.T) {
-	base := normalized(t, &JobRequest{Bench: "x"})
+	base := normalized(t, &JobRequest{Program: bench("x")})
 	samePool := []*JobRequest{
-		{Bench: "y"},
-		{Bench: "x", Strategy: "ilp"},
-		{Bench: "x", Trace: true},
-		{Bench: "x", Compiler: CompilerOptions{StaticSelection: true}},
+		{Program: bench("y")},
+		{Program: bench("x"), Strategy: "ilp"},
+		{Program: bench("x"), Trace: true},
+		{Program: bench("x"), Compiler: CompilerOptions{Select: "static"}},
 	}
 	for _, r := range samePool {
 		if normalized(t, r).MachineKey() != base.MachineKey() {
@@ -195,13 +193,13 @@ func TestMachineKeyGroupsPools(t *testing.T) {
 		}
 	}
 	differentPool := []*JobRequest{
-		{Bench: "x", Cores: 2},
-		{Bench: "x", Machine: MachineOptions{RegionSyncLat: 9}},
-		{Bench: "x", Machine: MachineOptions{ModeSwitchLat: 5}},
-		{Bench: "x", Machine: MachineOptions{QueueBaseLat: 7}},
-		{Bench: "x", Machine: MachineOptions{QueueHopLat: 3}},
-		{Bench: "x", Machine: MachineOptions{QueueCap: -1}},
-		{Bench: "x", Strategy: "llp", Machine: MachineOptions{MeshCols: 4}},
+		{Program: bench("x"), Cores: 2},
+		{Program: bench("x"), Machine: MachineOptions{RegionSyncLat: 9}},
+		{Program: bench("x"), Machine: MachineOptions{ModeSwitchLat: 5}},
+		{Program: bench("x"), Machine: MachineOptions{QueueBaseLat: 7}},
+		{Program: bench("x"), Machine: MachineOptions{QueueHopLat: 3}},
+		{Program: bench("x"), Machine: MachineOptions{QueueCap: -1}},
+		{Program: bench("x"), Strategy: "llp", Machine: MachineOptions{MeshCols: 4}},
 	}
 	seen := map[string]bool{base.MachineKey(): true}
 	for _, r := range differentPool {

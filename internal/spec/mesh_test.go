@@ -30,7 +30,7 @@ func TestCoupledMeshSweep(t *testing.T) {
 	// Decoupled and serial code does not depend on the mesh layout, so the
 	// strip stays open to them.
 	for _, strategy := range []string{"serial", "ftlp", "llp"} {
-		req := &JobRequest{Bench: "gsmdecode", Strategy: strategy, Machine: MachineOptions{MeshCols: 4}}
+		req := &JobRequest{Program: bench("gsmdecode"), Strategy: strategy, Machine: MachineOptions{MeshCols: 4}}
 		if err := req.Normalize(func(string) bool { return true }); err != nil {
 			t.Errorf("%s on a 1x4 strip rejected: %v", strategy, err)
 		}
@@ -51,7 +51,7 @@ func sweepMeshes(t *testing.T, name string) {
 		for cores := 4; cores <= 16; cores++ {
 			var cp *core.CompiledProgram
 			for cols := 4; cols <= cores; cols++ {
-				req := &JobRequest{Bench: name, Strategy: strategy, Cores: cores,
+				req := &JobRequest{Program: bench(name), Strategy: strategy, Cores: cores,
 					Compiler: CompilerOptions{Select: "static"},
 					Machine:  MachineOptions{MeshCols: cols}}
 				err := req.Normalize(func(string) bool { return true })

@@ -53,14 +53,13 @@ func TestSelectionFor(t *testing.T) {
 }
 
 // TestNormalizeSelect covers canonicalization of the selection fields: the
-// deprecated static_selection spelling folds into select, the empty mode
-// resolves to the default, and thresholds outside [0, 1] are rejected or
-// canonicalized so equivalent requests share one cache key.
+// empty mode resolves to the default, and thresholds outside [0, 1] are
+// rejected or canonicalized so equivalent requests share one cache key.
 func TestNormalizeSelect(t *testing.T) {
 	known := func(string) bool { return true }
 	norm := func(t *testing.T, mut func(*JobRequest)) *JobRequest {
 		t.Helper()
-		r := &JobRequest{Bench: "x"}
+		r := &JobRequest{Program: bench("x")}
 		mut(r)
 		if err := r.Normalize(known); err != nil {
 			t.Fatal(err)
@@ -70,20 +69,15 @@ func TestNormalizeSelect(t *testing.T) {
 	if r := norm(t, func(*JobRequest) {}); r.Compiler.Select != DefaultSelect {
 		t.Errorf("empty select normalized to %q, want %q", r.Compiler.Select, DefaultSelect)
 	}
-	r := norm(t, func(r *JobRequest) { r.Compiler.StaticSelection = true })
-	if r.Compiler.Select != "static" || r.Compiler.StaticSelection {
-		t.Errorf("static_selection folded to select=%q static_selection=%v, want static/false",
-			r.Compiler.Select, r.Compiler.StaticSelection)
-	}
 	if r := norm(t, func(r *JobRequest) { r.Compiler.SelectThreshold = -0.5 }); r.Compiler.SelectThreshold != -1 {
 		t.Errorf("negative threshold canonicalized to %v, want -1", r.Compiler.SelectThreshold)
 	}
-	bad := &JobRequest{Bench: "x"}
+	bad := &JobRequest{Program: bench("x")}
 	bad.Compiler.Select = "bogus"
 	if err := bad.Normalize(known); err == nil {
 		t.Error("unknown selection mode was accepted")
 	}
-	over := &JobRequest{Bench: "x"}
+	over := &JobRequest{Program: bench("x")}
 	over.Compiler.SelectThreshold = 1.5
 	if err := over.Normalize(known); err == nil {
 		t.Error("threshold above 1 was accepted")
@@ -91,13 +85,12 @@ func TestNormalizeSelect(t *testing.T) {
 }
 
 // TestKeySeparatesSelect: selection mode and threshold are part of the
-// artifact content address (different modes compile different programs),
-// while the deprecated spelling shares the canonical entry.
+// artifact content address (different modes compile different programs).
 func TestKeySeparatesSelect(t *testing.T) {
 	known := func(string) bool { return true }
 	key := func(t *testing.T, mut func(*JobRequest)) string {
 		t.Helper()
-		r := &JobRequest{Bench: "x"}
+		r := &JobRequest{Program: bench("x")}
 		mut(r)
 		if err := r.Normalize(known); err != nil {
 			t.Fatal(err)
@@ -110,13 +103,13 @@ func TestKeySeparatesSelect(t *testing.T) {
 		r.Compiler.Select = "auto"
 		r.Compiler.SelectThreshold = 0.25
 	})
-	if base == auto || auto == tuned || base == tuned {
-		t.Errorf("selection configs share keys: base=%s auto=%s tuned=%s", base, auto, tuned)
-	}
 	static := key(t, func(r *JobRequest) { r.Compiler.Select = "static" })
-	alias := key(t, func(r *JobRequest) { r.Compiler.StaticSelection = true })
-	if static != alias {
-		t.Errorf("select=static and static_selection diverge: %s vs %s", static, alias)
+	seen := map[string]bool{}
+	for _, k := range []string{base, auto, tuned, static} {
+		if seen[k] {
+			t.Errorf("selection configs share keys: base=%s auto=%s tuned=%s static=%s", base, auto, tuned, static)
+		}
+		seen[k] = true
 	}
 }
 
@@ -124,7 +117,7 @@ func TestKeySeparatesSelect(t *testing.T) {
 // selection mode and threshold through to compiler.Compile.
 func TestCompilerOptsThreadsSelection(t *testing.T) {
 	known := func(string) bool { return true }
-	r := &JobRequest{Bench: "x"}
+	r := &JobRequest{Program: bench("x")}
 	r.Compiler.Select = "auto"
 	r.Compiler.SelectThreshold = 0.25
 	if err := r.Normalize(known); err != nil {

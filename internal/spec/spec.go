@@ -6,10 +6,8 @@
 // friends mean exactly the same thing on every surface.
 //
 // The v2 surface describes every program through one tagged union,
-// {"program": {"kind": "bench"|"kernels"|"source", ...}}; the v1 spellings
-// (top-level "bench", kind-less kernel programs) are still accepted,
-// normalize onto the union — so both spellings share one cache entry — and
-// are flagged for the deprecation response header.
+// {"program": {"kind": "bench"|"kernels"|"source", ...}}; it is the only
+// accepted job shape.
 package spec
 
 import (
@@ -33,7 +31,7 @@ import (
 // SchemaVersion is the version stamped into job responses. It increments
 // only on breaking changes to the request or response shape; additive
 // fields do not bump it. Version 2 introduced the tagged program union and
-// typed error bodies; every v1 request form is still accepted.
+// typed error bodies.
 const SchemaVersion = 2
 
 // Stable error codes of the typed error model. Every non-2xx body carries
@@ -101,10 +99,6 @@ const (
 // compiler/machine overrides. The zero value of every optional field means
 // "the paper's default".
 type JobRequest struct {
-	// Bench is the deprecated v1 spelling of Program{Kind: "bench"}.
-	// Normalize folds it into the union, so both spellings share one
-	// canonical form and one cache entry.
-	Bench string `json:"bench,omitempty"`
 	// Program is what to compile and simulate: a benchmark reference, an
 	// inline kernel composition, or a source-language program.
 	Program *ProgramSpec `json:"program,omitempty"`
@@ -133,9 +127,6 @@ type CompilerOptions struct {
 	MissStallThreshold float64 `json:"miss_stall_threshold,omitempty"`
 	DisableEBUGWeights bool    `json:"disable_ebug_weights,omitempty"`
 	ForcePredSend      bool    `json:"force_pred_send,omitempty"`
-	// StaticSelection is the deprecated alias of select=static; Normalize
-	// folds it into Select so both spellings share one cache entry.
-	StaticSelection bool `json:"static_selection,omitempty"`
 	// Select is the strategy-selection mode: measured|static|auto.
 	// Defaults to measured.
 	Select string `json:"select,omitempty"`
@@ -174,8 +165,7 @@ const (
 )
 
 // ProgramSpec is the tagged program union: exactly the fields of one kind
-// may be set. A spec with no kind and kernels present is the deprecated v1
-// kernel-program form; Normalize infers KindKernels and flags it.
+// may be set, and the kind is required.
 type ProgramSpec struct {
 	// Kind discriminates the union: bench|kernels|source.
 	Kind string `json:"kind,omitempty"`
@@ -290,20 +280,9 @@ func defInt(v *int, def int) {
 
 // Normalize validates the request and fills every defaultable field in
 // place, so that two requests meaning the same job marshal to the same
-// canonical bytes. The deprecated v1 spellings — a top-level bench name, a
-// kind-less kernel program — are folded onto the tagged union here, so
-// every downstream stage (keys, caches, the simulate pipeline) sees one
-// form. known reports whether a benchmark name exists. Errors are *Error
-// with a stable code.
+// canonical bytes. known reports whether a benchmark name exists. Errors
+// are *Error with a stable code.
 func (r *JobRequest) Normalize(known func(bench string) bool) error {
-	if r.Bench != "" {
-		// v1 spelling: fold into the union so both content-address alike.
-		if r.Program != nil {
-			return errf(ErrBadSpec, "bench and program are mutually exclusive (put the benchmark inside the program union)")
-		}
-		r.Program = &ProgramSpec{Kind: KindBench, Bench: r.Bench}
-		r.Bench = ""
-	}
 	if r.Program == nil {
 		return errf(ErrBadSpec, "a program is required")
 	}
@@ -330,14 +309,6 @@ func (r *JobRequest) Normalize(known func(bench string) bool) error {
 		// mesh ("xnet: PUT off mesh edge").
 		return errf(ErrBadSpec, "mesh_cols = 4 at 4 cores (a 1x4 strip) cannot run coupled %s code, which is laid out for the 2x2 mesh", r.Strategy)
 	}
-	if r.Compiler.StaticSelection {
-		// Deprecated alias: fold into the canonical field so both spellings
-		// normalize — and content-address — identically.
-		if r.Compiler.Select == "" {
-			r.Compiler.Select = "static"
-		}
-		r.Compiler.StaticSelection = false
-	}
 	if r.Compiler.Select == "" {
 		r.Compiler.Select = DefaultSelect
 	}
@@ -359,20 +330,7 @@ func (r *JobRequest) Normalize(known func(bench string) bool) error {
 // and constant-fold here).
 func (p *ProgramSpec) normalize(known func(bench string) bool) error {
 	if p.Kind == "" {
-		// v1 kernel programs had no kind; infer it so the legacy spelling
-		// and the tagged spelling share one canonical form. DecodeJob flags
-		// the omission for the deprecation header.
-		if len(p.Kernels) == 0 && p.Source == "" && p.Bench == "" {
-			return errf(ErrBadSpec, `program.kind is required (one of "bench", "kernels", "source")`)
-		}
-		switch {
-		case len(p.Kernels) > 0:
-			p.Kind = KindKernels
-		case p.Source != "":
-			p.Kind = KindSource
-		default:
-			p.Kind = KindBench
-		}
+		return errf(ErrBadSpec, `program.kind is required (one of "bench", "kernels", "source")`)
 	}
 	if len(p.Name) > 64 {
 		return errf(ErrBadSpec, "program name must be at most 64 characters")
@@ -494,7 +452,7 @@ func (p *ProgramSpec) Build() (*ir.Program, error) {
 			return nil, sourceError(err)
 		}
 		return prog, nil
-	case KindKernels, "":
+	case KindKernels:
 		prog := ir.NewProgram(p.Name)
 		for _, k := range p.Kernels {
 			kernelKinds[k.Kind].gen(prog, k)
@@ -520,7 +478,7 @@ func (r *JobRequest) Key() string {
 	return "sha256:" + hex.EncodeToString(sum[:])
 }
 
-// RingKeyOf derives the cluster shard key from a v1 content address
+// RingKeyOf derives the cluster shard key from a content address
 // ("sha256:<hex>"): the bare digest. A multi-replica fleet places content on
 // its consistent-hash ring by this key. The job result and its trace blob
 // share one address (the trace is served under the job's key), so both land
@@ -536,8 +494,7 @@ func RingKeyOf(contentKey string) string {
 func (r *JobRequest) RingKey() string { return RingKeyOf(r.Key()) }
 
 // compileIdentity is the slice of a job that determines the compiled
-// artifact: what to compile (the normalized program union — Normalize has
-// already folded the deprecated top-level bench into it), how (strategy
+// artifact: what to compile (the normalized program union), how (strategy
 // and compiler gates) and for how many cores. Machine latencies, the trace
 // flag and the baseline flag cannot change compiler output, so they are
 // deliberately absent — jobs differing only in those share one artifact.
@@ -594,7 +551,6 @@ func (r *JobRequest) CompilerOpts() compiler.Options {
 		MissStallThreshold: r.Compiler.MissStallThreshold,
 		DisableEBUGWeights: r.Compiler.DisableEBUGWeights,
 		ForcePredSend:      r.Compiler.ForcePredSend,
-		StaticSelection:    r.Compiler.StaticSelection,
 		Selection:          sel,
 		SelectThreshold:    r.Compiler.SelectThreshold,
 		Workers:            1,
@@ -619,30 +575,16 @@ func (r *JobRequest) MachineConfig(tr *trace.Tracer) core.Config {
 	return cfg
 }
 
-// jobAliases accepts the v1 wire form plus deprecated field aliases from
-// the pre-v1 surface. Alias fields fill their successors only when the
-// canonical field is absent.
-type jobAliases struct {
-	JobRequest
-	// Benchmark is the deprecated alias of "bench".
-	Benchmark string `json:"benchmark,omitempty"`
-	// Mode is the deprecated alias of "strategy".
-	Mode string `json:"mode,omitempty"`
-}
-
-// DecodeJob decodes one JSON job request, accepting (but flagging) the
-// deprecated spellings: the field aliases "benchmark" (for "bench") and
-// "mode" (for "strategy"), the v1 top-level "bench" (now the bench-kind
-// member of the program union), and a kind-less kernel program (v1 had no
-// tag). Unknown fields are rejected, and so is anything but whitespace
-// after the job object. The returned slice names the deprecated spellings
-// the request used, for a deprecation response header; Normalize
-// canonicalizes them away so every spelling shares one content address.
+// DecodeJob decodes one JSON job request. Unknown fields are rejected —
+// including the retired pre-v2 spellings "bench", "benchmark", "mode" and
+// "compiler.static_selection" — and so is anything but whitespace after the
+// job object. The middle result is always nil; it remains only so existing
+// callers keep compiling.
 func DecodeJob(r io.Reader) (*JobRequest, []string, error) {
-	var in jobAliases
+	var req JobRequest
 	dec := json.NewDecoder(r)
 	dec.DisallowUnknownFields()
-	if err := dec.Decode(&in); err != nil {
+	if err := dec.Decode(&req); err != nil {
 		return nil, nil, err
 	}
 	if _, err := dec.Token(); err != io.EOF {
@@ -652,27 +594,7 @@ func DecodeJob(r io.Reader) (*JobRequest, []string, error) {
 		}
 		return nil, nil, errf(ErrBadRequest, "unexpected data after the job object")
 	}
-	var deprecated []string
-	if in.Benchmark != "" {
-		deprecated = append(deprecated, "benchmark")
-		if in.Bench == "" {
-			in.Bench = in.Benchmark
-		}
-	}
-	if in.Mode != "" {
-		deprecated = append(deprecated, "mode")
-		if in.Strategy == "" {
-			in.Strategy = in.Mode
-		}
-	}
-	if in.Bench != "" {
-		deprecated = append(deprecated, "bench")
-	}
-	if in.Program != nil && in.Program.Kind == "" {
-		deprecated = append(deprecated, "program.kind")
-	}
-	req := in.JobRequest
-	return &req, deprecated, nil
+	return &req, nil, nil
 }
 
 // StrategyInfo describes one parallelization strategy of the API surface.
@@ -700,7 +622,7 @@ var strategyTable = []struct {
 	{StrategyInfo{"hybrid", "hybrid", "per-region measured selection among the above (the paper's result)", "mixed"}, compiler.Hybrid},
 }
 
-// Strategies lists the v1 strategies in documentation order.
+// Strategies lists the strategies in documentation order.
 func Strategies() []StrategyInfo {
 	out := make([]StrategyInfo, len(strategyTable))
 	for i, e := range strategyTable {

@@ -10,34 +10,59 @@ import (
 	"voltron/internal/lang"
 )
 
+// TestDecodeJobAliases: the tagged v2 union is the only accepted job
+// shape. The retired spellings — top-level "bench", the pre-v1 aliases
+// "benchmark" and "mode" (alone or next to their canonical fields) and
+// "compiler.static_selection" — are unknown fields to DecodeJob; a program
+// without a kind decodes but fails Normalize as bad_spec.
 func TestDecodeJobAliases(t *testing.T) {
+	known := func(string) bool { return true }
 	for _, tc := range []struct {
-		name, body              string
-		wantBench, wantStrategy string
-		wantDeprecated          string
+		name, body string
+		wantCode   string // "" when the body must decode and normalize
 	}{
-		{"v1 bench", `{"bench": "a", "strategy": "llp"}`, "a", "llp", "bench"},
-		{"aliases", `{"benchmark": "a", "mode": "llp"}`, "a", "llp", "benchmark,mode,bench"},
-		{"canonical wins", `{"bench": "a", "benchmark": "b", "strategy": "llp", "mode": "ilp"}`, "a", "llp", "benchmark,mode,bench"},
-		{"v2 union", `{"program": {"kind": "bench", "bench": "a"}, "strategy": "llp"}`, "", "llp", ""},
-		{"kind-less program", `{"program": {"kernels": [{"kind": "doall-map"}]}, "strategy": "llp"}`, "", "llp", "program.kind"},
+		{"v1 bench", `{"bench": "a", "strategy": "llp"}`, ErrBadRequest},
+		{"aliases", `{"benchmark": "a", "mode": "llp"}`, ErrBadRequest},
+		{"canonical wins", `{"program": {"kind": "bench", "bench": "a"}, "benchmark": "b", "strategy": "llp", "mode": "ilp"}`, ErrBadRequest},
+		{"static selection", `{"program": {"kind": "bench", "bench": "a"}, "compiler": {"static_selection": true}}`, ErrBadRequest},
+		{"v2 union", `{"program": {"kind": "bench", "bench": "a"}, "strategy": "llp"}`, ""},
+		{"kind-less program", `{"program": {"kernels": [{"kind": "doall-map"}]}, "strategy": "llp"}`, ErrBadSpec},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			req, dep, err := DecodeJob(strings.NewReader(tc.body))
-			if err != nil {
-				t.Fatal(err)
+			if dep != nil {
+				t.Errorf("DecodeJob middle result = %v, want nil", dep)
 			}
-			if req.Bench != tc.wantBench || req.Strategy != tc.wantStrategy {
-				t.Errorf("decoded bench=%q strategy=%q, want %q/%q", req.Bench, req.Strategy, tc.wantBench, tc.wantStrategy)
+			if err == nil {
+				err = req.Normalize(known)
 			}
-			if got := strings.Join(dep, ","); got != tc.wantDeprecated {
-				t.Errorf("deprecated = %q, want %q", got, tc.wantDeprecated)
+			if tc.wantCode == "" {
+				if err != nil {
+					t.Fatalf("canonical body rejected: %v", err)
+				}
+				if req.Program.Bench != "a" || req.Strategy != "llp" {
+					t.Errorf("decoded bench=%q strategy=%q, want a/llp", req.Program.Bench, req.Strategy)
+				}
+				return
+			}
+			if err == nil {
+				t.Fatalf("retired spelling accepted")
+			}
+			if code := errorCode(err); code != tc.wantCode {
+				t.Errorf("error %v has code %q, want %q", err, code, tc.wantCode)
 			}
 		})
 	}
-	if _, _, err := DecodeJob(strings.NewReader(`{"bogus": 1}`)); err == nil {
-		t.Error("unknown field was accepted")
+}
+
+// errorCode is the typed error code the server would answer err with:
+// a *Error's own code, bad_request for a plain decode failure.
+func errorCode(err error) string {
+	var se *Error
+	if errors.As(err, &se) {
+		return se.Code
 	}
+	return ErrBadRequest
 }
 
 // TestDecodeJobRejectsTrailingData: a body is exactly one job object.
@@ -61,8 +86,8 @@ func TestDecodeJobRejectsTrailingData(t *testing.T) {
 // traced and untraced runs of one job never share a cache entry.
 func TestKeySeparatesTrace(t *testing.T) {
 	known := func(string) bool { return true }
-	a := &JobRequest{Bench: "x", Trace: false}
-	b := &JobRequest{Bench: "x", Trace: true}
+	a := &JobRequest{Program: bench("x"), Trace: false}
+	b := &JobRequest{Program: bench("x"), Trace: true}
 	for _, r := range []*JobRequest{a, b} {
 		if err := r.Normalize(known); err != nil {
 			t.Fatal(err)

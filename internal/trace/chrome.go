@@ -20,9 +20,7 @@ import (
 // the same cause are coalesced, so an N-cycle stall renders as one slice no
 // matter how the simulator charged it. Network traffic, spawn/sleep
 // transitions, cache-miss fills and transaction events render as instant
-// ("i") events with their payload under args. Per-instruction issue events
-// are deliberately not rendered (they would dwarf everything else); use the
-// text renderer for instruction-level debugging.
+// ("i") events with their payload under args.
 //
 // The output is deterministic: rendering iterates the event stream in
 // collection order and never ranges over a map, so two identical runs
@@ -113,8 +111,6 @@ func (t *Tracer) WriteChrome(w io.Writer) error {
 		case KindTxBegin:
 			item(`{"ph":"i","pid":0,"tid":%d,"ts":%d,"s":"t","name":"TXBEGIN","args":{"chunk":%d}}`,
 				e.Core, e.Cycle, e.Arg)
-		case KindIssue:
-			// Skipped: see the function comment.
 		}
 	}
 	for c := 0; c < t.cores; c++ {

@@ -3,9 +3,9 @@
 // loops (per-core stall spans, typed events for operand-network and
 // queue-network traffic, spawn/sleep transitions, stall-bus releases, cache
 // miss fills, transactions, and region/mode boundaries) plus renderers over
-// the collected stream — Chrome trace-event JSON (loadable in Perfetto), an
-// aggregated stall-attribution report (cycles by cause, per core and per
-// region), and the legacy per-instruction text trace.
+// the collected stream — Chrome trace-event JSON (loadable in Perfetto) and
+// an aggregated stall-attribution report (cycles by cause, per core and per
+// region).
 //
 // The collector is a concrete struct, not an interface: emit calls are
 // direct appends into a flat event slice, so a traced run's per-event cost
@@ -25,7 +25,6 @@ type Kind uint8
 const (
 	KindRegionBegin Kind = iota
 	KindRegionEnd
-	KindIssue
 	KindStall        // a span of non-busy cycles with a cause
 	KindStallRelease // coupled mode: the stall bus released all cores
 	KindPut          // direct-mode operand transfer driven
@@ -49,8 +48,6 @@ func (k Kind) String() string {
 		return "region-begin"
 	case KindRegionEnd:
 		return "region-end"
-	case KindIssue:
-		return "issue"
 	case KindStall:
 		return "stall"
 	case KindStallRelease:
@@ -97,7 +94,6 @@ var missNames = [...]string{"L1D-read", "L1D-write", "L1I"}
 //
 //	RegionBegin   Name (region), Detail (mode)
 //	RegionEnd     —
-//	Issue         Aux (pc), Inst
 //	Stall         Dur (cycles), Aux (stats.Kind cause)
 //	StallRelease  Dur (window length; 0 when unknown under the reference stepper)
 //	Put/Get/Bcast Aux (isa.Direction; -1 for Bcast)
@@ -112,7 +108,6 @@ type Event struct {
 	Arg    int64
 	Name   string
 	Detail string
-	Inst   *isa.Inst
 	Region int32
 	Aux    int32
 	Core   int16
@@ -196,11 +191,6 @@ func (t *Tracer) Charge(from int64, core int, k stats.Kind, n int64) {
 	if k != stats.Busy {
 		t.emit(Event{Cycle: from, Dur: n, Kind: KindStall, Core: int16(core), Aux: int32(k)})
 	}
-}
-
-// Issue records one issued instruction.
-func (t *Tracer) Issue(cycle int64, core, pc int, in *isa.Inst) {
-	t.emit(Event{Cycle: cycle, Kind: KindIssue, Core: int16(core), Aux: int32(pc), Inst: in})
 }
 
 // StallRelease records the coupled-mode stall bus releasing all cores at
