@@ -260,12 +260,12 @@ func measureEscalated(p *ir.Program, opts Options, cp *core.CompiledProgram, pla
 	for i, pl := range plans {
 		base.Regions[i] = pl.serial
 	}
-	baseline, err := runSerialBaseline(base)
+	pool := newEvalPool(opts, cp)
+	defer pool.close()
+	baseline, err := pool.serialBaseline(base)
 	if err != nil {
 		return err
 	}
-	pool := newEvalPool(opts, cp)
-	defer pool.close()
 	for _, i := range hard {
 		cp.Selection.Regions[i].Choice = measureRegion(pool, baseline.RegionCycles[i], cp, i, plans[i]).String()
 	}
@@ -370,12 +370,12 @@ func Recheck(p *ir.Program, cp *core.CompiledProgram, rep *trace.Report, opts Op
 	for i, pl := range plans {
 		base.Regions[i] = pl.serial
 	}
-	baseline, err := runSerialBaseline(base)
+	pool := newEvalPool(opts, out)
+	defer pool.close()
+	baseline, err := pool.serialBaseline(base)
 	if err != nil {
 		return nil, nil, err
 	}
-	pool := newEvalPool(opts, out)
-	defer pool.close()
 	for _, i := range suspect {
 		choice := measureRegion(pool, baseline.RegionCycles[i], out, i, plans[i])
 		out.Selection.Regions[i].Tier = TierRechecked.String()

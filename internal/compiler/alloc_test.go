@@ -12,21 +12,24 @@ import (
 // compileCases are the lowerings BenchmarkCompile and
 // TestCompileAllocCeiling measure on compileBench: the serial baseline,
 // forced fine-grain TLP (measured selection) and statically selected
-// hybrid, each at 4 and 64 cores. maxAllocs is about 10% above the
-// allocations per Compile measured on linux/amd64 with Go 1.24 (2365,
-// 2546, 11938, 14291, 16382 and 42468).
+// hybrid, each at 4 and 64 cores, plus measured hybrid and forced DOALL at
+// 64 cores. maxAllocs is about 10% above the allocations per Compile
+// measured on linux/amd64 with Go 1.24 (1778, 1958, 8962, 11001, 11502,
+// 10823, 13688 and 3192).
 var compileCases = []struct {
 	strat     Strategy
 	sel       SelectionMode
 	cores     int
 	maxAllocs float64
 }{
-	{Serial, SelectMeasured, 4, 2600},
-	{Serial, SelectMeasured, 64, 2800},
-	{ForceFTLP, SelectMeasured, 4, 13100},
-	{ForceFTLP, SelectMeasured, 64, 15700},
-	{Hybrid, SelectStatic, 4, 18000},
-	{Hybrid, SelectStatic, 64, 46700},
+	{Serial, SelectMeasured, 4, 1960},
+	{Serial, SelectMeasured, 64, 2160},
+	{ForceFTLP, SelectMeasured, 4, 9860},
+	{ForceFTLP, SelectMeasured, 64, 12110},
+	{Hybrid, SelectStatic, 4, 12660},
+	{Hybrid, SelectStatic, 64, 11910},
+	{Hybrid, SelectMeasured, 64, 15060},
+	{ForceLLP, SelectMeasured, 64, 3520},
 }
 
 // compileBench is the fixed benchmark the compile measurements use: its

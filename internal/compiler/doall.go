@@ -2,6 +2,8 @@ package compiler
 
 import (
 	"fmt"
+	"maps"
+	"slices"
 
 	"voltron/internal/core"
 	"voltron/internal/ir"
@@ -11,11 +13,12 @@ import (
 // Statistical DOALL parallelization (paper §3, §4.1): a loop whose
 // profiling showed no cross-iteration memory dependence is chunked across
 // cores and executed speculatively under the transactional memory.
-// Induction variables are replicated per core (each chunk clone carries its
-// own patched counter bounds), accumulator recurrences are expanded into
-// per-core partial accumulators combined by the master after the commit
-// barrier, and a serial fallback stream re-executes the region if the
-// speculation was wrong.
+// Induction variables are replicated per core (each chunk carries its own
+// patched counter bounds; workers past the first are copies of the first
+// worker's chunk with the bounds and core number patched), accumulator
+// recurrences are expanded into per-core partial accumulators combined by
+// the master after the commit barrier, and a serial fallback stream
+// re-executes the region if the speculation was wrong.
 
 // doallInfo captures an eligible loop.
 type doallInfo struct {
@@ -192,15 +195,18 @@ func tryDOALL(r *ir.Region, opts Options) (*core.CompiledRegion, bool, error) {
 	cr.StartAwake[0] = true
 	scratchBase := r.NumValues() + 8
 	for c := 0; c < width; c++ {
-		lo := info.iv.InitOp.Imm + int64(c)*chunk*info.iv.Step
-		hi := info.iv.InitOp.Imm + int64(c+1)*chunk*info.iv.Step
-		if hi > info.iv.LimitImm {
-			hi = info.iv.LimitImm
+		lo, hi := info.chunkBounds(c, chunk)
+		var (
+			code   []isa.Inst
+			labels map[int64]int
+		)
+		if c <= 1 {
+			// The master and the first worker are generated; every later
+			// worker is the first one with its bounds and core patched.
+			code, labels, err = genChunk(r, info, c, lo, hi, width, scratchBase)
+		} else {
+			code, labels, err = patchWorker(cr.Code[1], cr.Labels[1], info, c, lo, hi)
 		}
-		if lo > hi {
-			lo = hi
-		}
-		code, labels, err := genChunk(r, info, c, lo, hi, width, scratchBase)
 		if err != nil {
 			return nil, false, err
 		}
@@ -215,6 +221,53 @@ func tryDOALL(r *ir.Region, opts Options) (*core.CompiledRegion, bool, error) {
 	cr.Fallback = fb.Code[0]
 	cr.FallbackLabels = fb.Labels[0]
 	return cr, true, nil
+}
+
+// chunkBounds returns core c's iteration bounds [lo, hi) for chunks of
+// chunk iterations, clamped to the loop limit.
+func (info *doallInfo) chunkBounds(c int, chunk int64) (lo, hi int64) {
+	iv := info.iv
+	lo = iv.InitOp.Imm + int64(c)*chunk*iv.Step
+	hi = iv.InitOp.Imm + int64(c+1)*chunk*iv.Step
+	if hi > iv.LimitImm {
+		hi = iv.LimitImm
+	}
+	if lo > hi {
+		lo = hi
+	}
+	return lo, hi
+}
+
+// patchWorker derives worker c's chunk from worker 1's. Workers differ
+// only in three immediates — the induction variable's initial value (lo),
+// the loop bound (hi) and TXBEGIN's core — and in the entry label SPAWN
+// targets, so the copy patches exactly those. Each patched instruction
+// must occur exactly once in the template.
+func patchWorker(tmpl []isa.Inst, tmplLabels map[int64]int, info *doallInfo, c int, lo, hi int64) ([]isa.Inst, map[int64]int, error) {
+	code := slices.Clone(tmpl)
+	var nInit, nCmp, nTx int
+	for i := range code {
+		in := &code[i]
+		switch {
+		case in.Op == isa.TXBEGIN:
+			in.Imm = int64(c)
+			nTx++
+		case in.IROp == info.iv.InitOp.ID:
+			in.Imm = lo
+			nInit++
+		case in.IROp == info.iv.CmpOp.ID:
+			in.Imm = hi
+			nCmp++
+		}
+	}
+	if nInit != 1 || nCmp != 1 || nTx != 1 {
+		return nil, nil, fmt.Errorf("DOALL worker template: %d induction inits, %d bound compares, %d TXBEGINs (want one each)",
+			nInit, nCmp, nTx)
+	}
+	labels := maps.Clone(tmplLabels)
+	delete(labels, entryLabel(1))
+	labels[entryLabel(c)] = 0
+	return code, labels, nil
 }
 
 // genChunk produces one core's chunk code: patched clone of the region,

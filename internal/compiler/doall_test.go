@@ -1,12 +1,16 @@
 package compiler
 
 import (
+	"fmt"
+	"maps"
+	"slices"
 	"testing"
 
 	"voltron/internal/core"
 	"voltron/internal/interp"
 	"voltron/internal/ir"
 	"voltron/internal/isa"
+	"voltron/internal/workload"
 )
 
 func TestFindDOALLEligibility(t *testing.T) {
@@ -198,5 +202,91 @@ func TestInsertKeepVsInsertAt(t *testing.T) {
 	c3, l3 := insertKeep(code, labels, 1, seq)
 	if l3[1] != 1 || c3[1].Op != isa.TXCOMMIT || c3[2].Op != isa.HALT {
 		t.Errorf("insertKeep: labels=%v", l3)
+	}
+}
+
+// TestDOALLChunkTemplate pins the worker-chunk template against its oracle:
+// every worker chunk tryDOALL derives by patching worker 1's must equal, in
+// code and labels, the chunk genChunk generates for that core directly.
+// It covers every DOALL-eligible region of the suite and of 100 random
+// programs at 2, 4, 16 and 64 cores.
+func TestDOALLChunkTemplate(t *testing.T) {
+	type prog struct {
+		name string
+		p    *ir.Program
+	}
+	var progs []prog
+	for _, name := range workload.Names() {
+		p, err := workload.Build(name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		progs = append(progs, prog{name, p})
+	}
+	for seed := 0; seed < 100; seed++ {
+		p, err := workload.Random(int64(seed), 1+seed%3)
+		if err != nil {
+			t.Fatal(err)
+		}
+		progs = append(progs, prog{fmt.Sprintf("random%d", seed), p})
+	}
+	var regions, workers int
+	for _, pg := range progs {
+		pg.p.PrepareOnce(func() { Optimize(pg.p) })
+		pr := mustProfile(t, pg.p)
+		for _, r := range pg.p.Regions {
+			for _, cores := range []int{2, 4, 16, 64} {
+				opts := Options{Cores: cores, Strategy: ForceLLP, Profile: pr}.withDefaults()
+				info, err := findDOALL(r, opts)
+				if err != nil {
+					continue
+				}
+				cr, ok, err := tryDOALL(r, opts)
+				if err != nil || !ok {
+					t.Fatalf("%s/%s/%d: tryDOALL ok=%v err=%v", pg.name, r.Name, cores, ok, err)
+				}
+				regions++
+				chunk := (info.total + int64(cores) - 1) / int64(cores)
+				for c := 2; c < cores; c++ {
+					lo, hi := info.chunkBounds(c, chunk)
+					code, labels, err := genChunk(r, info, c, lo, hi, cores, r.NumValues()+8)
+					if err != nil {
+						t.Fatal(err)
+					}
+					if !slices.Equal(cr.Code[c], code) || !maps.Equal(cr.Labels[c], labels) {
+						t.Fatalf("%s/%s/%d: worker %d differs from its generated chunk", pg.name, r.Name, cores, c)
+					}
+					workers++
+				}
+			}
+		}
+	}
+	t.Logf("%d DOALL regions, %d patched workers checked", regions, workers)
+	if regions == 0 || workers == 0 {
+		t.Fatal("no DOALL-eligible region exercised the template")
+	}
+}
+
+// TestDOALLPatchNeedsUniqueSites checks that a template whose induction
+// init is not exactly one instruction is rejected, not half-patched.
+func TestDOALLPatchNeedsUniqueSites(t *testing.T) {
+	p := progCopyAdd(64)
+	pr := mustProfile(t, p)
+	opts := Options{Cores: 4, Strategy: ForceLLP, Profile: pr}.withDefaults()
+	r := p.Regions[0]
+	info, err := findDOALL(r, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cr, ok, err := tryDOALL(r, opts)
+	if err != nil || !ok {
+		t.Fatalf("tryDOALL: ok=%v err=%v", ok, err)
+	}
+	if _, _, err := patchWorker(cr.Code[1], cr.Labels[1], info, 2, 0, 1); err != nil {
+		t.Fatalf("well-formed template rejected: %v", err)
+	}
+	dup := append(slices.Clone(cr.Code[1]), isa.Inst{Op: isa.MOVI, IROp: info.iv.InitOp.ID})
+	if _, _, err := patchWorker(dup, cr.Labels[1], info, 2, 0, 1); err == nil {
+		t.Error("template with a duplicated induction init accepted")
 	}
 }

@@ -22,13 +22,20 @@ import (
 //   - the serial baseline is simulated ONCE per selection pass — one
 //     full-program run of the all-serial lowering yields every region's
 //     serial time at once, where the old pipeline re-simulated the whole
-//     program per region just to read RegionCycles[i];
+//     program per region just to read RegionCycles[i]. It runs on the
+//     eval pool's first machine, so a compile builds no other machine;
 //   - candidate lowerings are generated concurrently per region (pure
 //     reads of the IR; every generator clones before mutating);
 //   - candidate simulations run on a bounded worker pool, one reusable
 //     core.Machine plus one cloned background CompiledProgram per worker,
 //     with a barrier per region so later regions are always measured
 //     against the committed winners of earlier ones;
+//   - a candidate run simulates only the regions up to and including the
+//     measured one: the machine runs regions in order, so later regions
+//     cannot change its time. Compared with a full run, this changes the
+//     outcome only for a candidate whose region would make a *later*
+//     region fail: it can win instead of scoring -1. Such a candidate is a
+//     miscompile, and the compile-vs-interpreter differentials exclude it;
 //   - the winner is chosen by fixed candidate order, never completion
 //     order, so the selected program does not depend on scheduling.
 
@@ -91,12 +98,12 @@ func compileMeasured(p *ir.Program, opts Options) (*core.CompiledProgram, error)
 		}
 		cp.Regions[i] = pl.serial
 	}
-	baseline, err := runSerialBaseline(cp)
+	pool := newEvalPool(opts, cp)
+	defer pool.close()
+	baseline, err := pool.serialBaseline(cp)
 	if err != nil {
 		return nil, err
 	}
-	pool := newEvalPool(opts, cp)
-	defer pool.close()
 	for i := range p.Regions {
 		pl := plans[i]
 		sel := &cp.Selection.Regions[i]
@@ -123,17 +130,16 @@ func compileMeasured(p *ir.Program, opts Options) (*core.CompiledProgram, error)
 	return cp, nil
 }
 
-// runSerialBaseline simulates the all-serial lowering once — one
+// serialBaseline simulates the all-serial lowering once — one
 // full-program run yields every region's serial time at once. A failed
 // baseline is a hard error: without serial region times no candidate could
 // ever be compared against serial, and silently letting the first
 // non-failing candidate win would ship a lowering that was never measured
-// to help. Selection only reads RegionCycles, so the stall-breakdown
-// accounting is skipped (NoStats).
-func runSerialBaseline(cp *core.CompiledProgram) (*core.RunResult, error) {
-	cfg := core.DefaultConfig(cp.Cores)
-	cfg.NoStats = true
-	res, err := core.New(cfg).Run(cp)
+// to help. It runs on worker 0's machine before any candidate is queued (a
+// reused machine's run is identical to a fresh one's), so a compile builds
+// no machine beyond the pool's.
+func (p *evalPool) serialBaseline(cp *core.CompiledProgram) (*core.RunResult, error) {
+	res, err := p.workers[0].machine.Run(cp)
 	if err != nil {
 		return nil, fmt.Errorf("%s: serial baseline: %w", cp.Name, err)
 	}
@@ -273,7 +279,11 @@ func newEvalPool(opts Options, cp *core.CompiledProgram) *evalPool {
 			defer pool.wg.Done()
 			for job := range pool.jobs {
 				ew.bg.Regions[job.region] = job.cand
-				res, err := ew.machine.Run(ew.bg)
+				// Regions after the measured one cannot change its
+				// time, so the run stops after it.
+				prefix := *ew.bg
+				prefix.Regions = ew.bg.Regions[:job.region+1]
+				res, err := ew.machine.Run(&prefix)
 				if err != nil {
 					*job.cycles = -1 // a misbehaving candidate never wins
 				} else {

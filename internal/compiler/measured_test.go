@@ -142,3 +142,96 @@ func BenchmarkMeasuredSelection(b *testing.B) {
 		})
 	}
 }
+
+// TestPrefixRunMatchesFullRun pins prefix-only candidate runs: for every
+// region measured selection simulates — the suite under ilp, ftlp and
+// hybrid at 2, 4, 16 and 64 cores — each candidate's time from the eval
+// pool's prefix run must equal the region's time in a full-program run of
+// the same background.
+func TestPrefixRunMatchesFullRun(t *testing.T) {
+	for _, name := range workload.Names() {
+		t.Run(name, func(t *testing.T) {
+			t.Parallel()
+			p, err := workload.Build(name)
+			if err != nil {
+				t.Fatal(err)
+			}
+			p.PrepareOnce(func() { Optimize(p) })
+			pr := mustProfile(t, p)
+			checked := 0
+			for _, strat := range []Strategy{ForceILP, ForceFTLP, Hybrid} {
+				for _, cores := range []int{2, 4, 16, 64} {
+					opts := Options{Cores: cores, Strategy: strat, Profile: pr, Workers: 1}.withDefaults()
+					checked += checkPrefixRuns(t, p, opts)
+				}
+			}
+			t.Logf("%d candidate runs checked", checked)
+		})
+	}
+}
+
+// checkPrefixRuns replays compileMeasured's region loop (SelectMeasured is
+// the zero mode), comparing every
+// candidate's prefix-run time against a full run, and returns the number of
+// candidates compared.
+func checkPrefixRuns(t *testing.T, p *ir.Program, opts Options) int {
+	t.Helper()
+	plans := planRegions(p, opts)
+	cp := &core.CompiledProgram{Name: p.Name, Cores: opts.Cores, Src: p,
+		Regions: make([]*core.CompiledRegion, len(plans))}
+	for i, pl := range plans {
+		if pl.err != nil {
+			t.Fatal(pl.err)
+		}
+		cp.Regions[i] = pl.serial
+	}
+	pool := newEvalPool(opts, cp)
+	defer pool.close()
+	baseline, err := pool.serialBaseline(cp)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg := core.DefaultConfig(opts.Cores)
+	cfg.NoStats = true
+	full := core.New(cfg)
+	checked := 0
+	for i, pl := range plans {
+		if pl.small {
+			continue
+		}
+		if pl.doall != nil {
+			cp.Regions[i] = pl.doall
+			pool.commit(i, pl.doall)
+			continue
+		}
+		crs := make([]*core.CompiledRegion, len(pl.candidates))
+		for k := range pl.candidates {
+			crs[k] = pl.candidates[k].cr
+		}
+		got := pool.measure(i, crs)
+		for k, cand := range crs {
+			bg := *cp
+			bg.Regions = append([]*core.CompiledRegion(nil), cp.Regions...)
+			bg.Regions[i] = cand
+			want := int64(-1)
+			if res, err := full.Run(&bg); err == nil {
+				want = res.RegionCycles[i]
+			}
+			if got[k] != want {
+				t.Errorf("%v/%d region %d candidate %v: prefix run %d cycles, full run %d",
+					opts.Strategy, opts.Cores, i, pl.candidates[k].choice, got[k], want)
+			}
+			checked++
+		}
+		measureRegion(pool, baseline.RegionCycles[i], cp, i, pl)
+	}
+	// The replay must have installed exactly what Compile selects.
+	want, err := Compile(p, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(cp.Regions, want.Regions) {
+		t.Errorf("%v/%d: replayed selection differs from Compile's", opts.Strategy, opts.Cores)
+	}
+	return checked
+}

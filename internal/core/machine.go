@@ -48,6 +48,9 @@ type Config struct {
 	// Render with its WriteChrome/Report methods. Nil tracing
 	// costs a single nil check at each emit site; the event loop stays
 	// allocation-free either way (enforced by TestEventLoopZeroAllocs).
+	// A tracer covers one run: the machine drops it when that run ends,
+	// so a later run on the same machine is untraced until Reset installs
+	// a new one.
 	Tracer *trace.Tracer
 	// Reference selects the retained naive stepper: the simulator advances
 	// one cycle at a time instead of jumping to the next wake event. Cycle
@@ -303,7 +306,12 @@ func (m *Machine) RunContext(ctx context.Context, cp *CompiledProgram) (*RunResu
 	}
 	// Drop run-scoped references on the way out so an idle pooled machine
 	// pins neither the compiled program nor the request's context/tracer.
-	defer func() { rs.ctx, rs.cp, rs.cr, rs.tr = nil, nil, nil, nil }()
+	// The tracer serves this run only: the config and the memory system
+	// let go of it too.
+	defer func() {
+		rs.ctx, rs.cp, rs.cr, rs.tr = nil, nil, nil, nil
+		m.cfg.Tracer, m.sys.Tracer = nil, nil
+	}()
 	rs.sys.Tracer = rs.tr
 	if ctx.Done() != nil {
 		rs.ctx = ctx

@@ -53,17 +53,26 @@ type DepEdge struct {
 // BlockDFG holds the dependence edges among one block's ops.
 type BlockDFG struct {
 	Block *Block
+	// Edges lists every edge once. Each edge is added while its Dst is
+	// visited, so the edges into one op form one contiguous run, in block
+	// order of their destinations.
 	Edges []DepEdge
-	// Succ/Pred adjacency by op ID for fast scheduling.
-	succ map[*Op][]DepEdge
-	pred map[*Op][]DepEdge
+	// span[o.ID-base] is the [start, end) run of Edges entering o; base is
+	// the smallest Op.ID in the block.
+	base int
+	span [][2]int32
 }
 
-// Succs returns edges leaving o.
-func (g *BlockDFG) Succs(o *Op) []DepEdge { return g.succ[o] }
-
-// Preds returns edges entering o.
-func (g *BlockDFG) Preds(o *Op) []DepEdge { return g.pred[o] }
+// Preds returns edges entering o, in the order they were added. The result
+// aliases g.Edges; its capacity ends at its length, so an append copies.
+func (g *BlockDFG) Preds(o *Op) []DepEdge {
+	i := o.ID - g.base
+	if i < 0 || i >= len(g.span) {
+		return nil
+	}
+	s := g.span[i]
+	return g.Edges[s[0]:s[1]:s[1]]
+}
 
 // BuildBlockDFG computes the precise dependence graph of one block.
 // Memory dependences use the affine analysis (straight-line: intra only)
@@ -71,21 +80,27 @@ func (g *BlockDFG) Preds(o *Op) []DepEdge { return g.pred[o] }
 // a lowering that builds the DFGs of many blocks builds it once and passes
 // it to every call.
 func (r *Region) BuildBlockDFG(b *Block, ctx *AffineCtx) *BlockDFG {
-	g := &BlockDFG{Block: b, succ: map[*Op][]DepEdge{}, pred: map[*Op][]DepEdge{}}
+	// Blocks average about one edge per op.
+	g := &BlockDFG{Block: b, Edges: make([]DepEdge, 0, len(b.Ops))}
+	if len(b.Ops) > 0 {
+		lo, hi := b.Ops[0].ID, b.Ops[0].ID
+		for _, o := range b.Ops {
+			lo, hi = min(lo, o.ID), max(hi, o.ID)
+		}
+		g.base, g.span = lo, make([][2]int32, hi-lo+1)
+	}
 	add := func(src, dst *Op, k DepKind) {
 		lat := 1
 		if k == DepFlow {
 			lat = src.Code.Latency()
 		}
-		e := DepEdge{Src: src, Dst: dst, Kind: k, Latency: lat}
-		g.Edges = append(g.Edges, e)
-		g.succ[src] = append(g.succ[src], e)
-		g.pred[dst] = append(g.pred[dst], e)
+		g.Edges = append(g.Edges, DepEdge{Src: src, Dst: dst, Kind: k, Latency: lat})
 	}
 	lastDef := map[Value]*Op{}
 	lastUses := map[Value][]*Op{}
 	var mem []*Op
 	for _, o := range b.Ops {
+		start := len(g.Edges)
 		for _, u := range o.Uses() {
 			if d := lastDef[u]; d != nil {
 				add(d, o, DepFlow)
@@ -112,6 +127,7 @@ func (r *Region) BuildBlockDFG(b *Block, ctx *AffineCtx) *BlockDFG {
 			}
 			mem = append(mem, o)
 		}
+		g.span[o.ID-g.base] = [2]int32{int32(start), int32(len(g.Edges))}
 	}
 	return g
 }
@@ -124,14 +140,10 @@ type PDG struct {
 	Nodes []*Op
 	Edges []DepEdge
 	succ  map[*Op][]DepEdge
-	pred  map[*Op][]DepEdge
 }
 
 // Succs returns edges leaving o.
 func (g *PDG) Succs(o *Op) []DepEdge { return g.succ[o] }
-
-// Preds returns edges entering o.
-func (g *PDG) Preds(o *Op) []DepEdge { return g.pred[o] }
 
 func (g *PDG) add(src, dst *Op, k DepKind, carried bool) {
 	lat := 1
@@ -141,7 +153,6 @@ func (g *PDG) add(src, dst *Op, k DepKind, carried bool) {
 	e := DepEdge{Src: src, Dst: dst, Kind: k, Carried: carried, Latency: lat}
 	g.Edges = append(g.Edges, e)
 	g.succ[src] = append(g.succ[src], e)
-	g.pred[dst] = append(g.pred[dst], e)
 }
 
 // controlDeps computes, for every block, the set of blocks it is
@@ -185,7 +196,7 @@ func (r *Region) controlDeps() map[int][]*Block {
 //
 // ctx is an affine context of the region for l (NewAffineCtx(l)).
 func (r *Region) BuildPDG(l *Loop, ctx *AffineCtx) *PDG {
-	g := &PDG{Region: r, Loop: l, succ: map[*Op][]DepEdge{}, pred: map[*Op][]DepEdge{}}
+	g := &PDG{Region: r, Loop: l, succ: map[*Op][]DepEdge{}}
 	inScope := func(b *Block) bool { return l == nil || l.Blocks[b.ID] }
 	defs := map[Value][]*Op{}
 	for _, b := range r.Blocks {

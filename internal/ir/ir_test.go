@@ -2,6 +2,7 @@ package ir
 
 import (
 	"reflect"
+	"slices"
 	"testing"
 
 	"voltron/internal/isa"
@@ -293,6 +294,19 @@ func TestBlockDFG(t *testing.T) {
 	}
 	if !foundFlow {
 		t.Error("missing flow dependence load -> add")
+	}
+	// Preds keeps the order of the per-op lists the graph used to build:
+	// Edges filtered by destination.
+	for _, o := range b.Ops {
+		var want []DepEdge
+		for _, e := range g.Edges {
+			if e.Dst == o {
+				want = append(want, e)
+			}
+		}
+		if got := g.Preds(o); !slices.Equal(got, want) {
+			t.Errorf("Preds(%v) = %v, want %v", o, got, want)
+		}
 	}
 }
 

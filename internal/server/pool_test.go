@@ -4,14 +4,17 @@ import (
 	"context"
 	"fmt"
 	"net/http"
+	"runtime"
 	"strings"
 	"sync"
 	"testing"
 	"time"
+	"weak"
 
 	"voltron/internal/compiler"
 	"voltron/internal/core"
 	"voltron/internal/spec"
+	"voltron/internal/trace"
 )
 
 // testRequest decodes and normalizes the tinyJob request.
@@ -311,4 +314,31 @@ func TestPanickingRunDropsMachine(t *testing.T) {
 	if got := s.pool.size(); got != before+1 {
 		t.Errorf("pool holds %d idle machines after a good run, want %d", got, before+1)
 	}
+}
+
+// TestTracedRunReleasesTracer checks that a traced job's tracer becomes
+// garbage once the job returns: the machine it ran on goes back to the
+// pool, and an idle pooled machine must not keep the last run's event
+// stream alive.
+func TestTracedRunReleasesTracer(t *testing.T) {
+	s := New(Config{Workers: 1})
+	req := testRequest(t)
+	cp, _, _ := testCompiled(t)
+	tr := trace.New()
+	wp := weak.Make(tr)
+	if _, err := s.run(context.Background(), req, cp, tr); err != nil {
+		t.Fatal(err)
+	}
+	if len(tr.Events) == 0 {
+		t.Fatal("traced run collected no events")
+	}
+	if s.pool.size() != 1 {
+		t.Fatalf("pool holds %d idle machines after the run, want 1", s.pool.size())
+	}
+	tr = nil
+	runtime.GC()
+	if wp.Value() != nil {
+		t.Error("an idle pooled machine still references the last run's tracer")
+	}
+	runtime.KeepAlive(s) // the pool must be live for the check to mean anything
 }
