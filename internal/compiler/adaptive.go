@@ -3,7 +3,6 @@ package compiler
 import (
 	"fmt"
 	"math"
-	"sort"
 
 	"voltron/internal/core"
 	"voltron/internal/ir"
@@ -139,36 +138,12 @@ func EstimateQueueComm(cr *core.CompiledRegion, r *ir.Region, pr *prof.Profile) 
 		// are already in the schedule length.
 		return 0
 	}
-	blockByID := map[int64]*ir.Block{}
-	for _, b := range r.Blocks {
-		blockByID[int64(b.ID)] = b
-	}
-	count := func(b *ir.Block) float64 {
-		if pr == nil {
-			return 1
-		}
-		if c, ok := pr.BlockCount[b]; ok {
-			return float64(c)
-		}
-		return 1
-	}
+	blockByID := regionBlocks(r)
 	var msgs float64
-	for c := range cr.Code {
-		code := cr.Code[c]
-		// Block extents from the label table, as in EstimateCycles: an
-		// instruction's weight is the count of the last block starting at or
-		// before it (prologue instructions weigh 1).
-		type ext struct {
-			start int
-			blk   *ir.Block
-		}
-		var exts []ext
-		for lbl, idx := range cr.Labels[c] {
-			if b, ok := blockByID[lbl]; ok {
-				exts = append(exts, ext{idx, b})
-			}
-		}
-		sort.Slice(exts, func(i, j int) bool { return exts[i].start < exts[j].start })
+	for c, code := range cr.Code {
+		// An instruction's weight is the count of the block whose extent
+		// holds it (prologue instructions weigh 1).
+		exts := blockExtents(cr, c, blockByID)
 		for i, in := range code {
 			if in.Op != isa.SEND && in.Op != isa.SPAWN {
 				continue
@@ -176,7 +151,7 @@ func EstimateQueueComm(cr *core.CompiledRegion, r *ir.Region, pr *prof.Profile) 
 			w := 1.0
 			for k := len(exts) - 1; k >= 0; k-- {
 				if exts[k].start <= i {
-					w = count(exts[k].blk)
+					w = blockCount(pr, exts[k].blk)
 					break
 				}
 			}

@@ -27,19 +27,7 @@ func EstimateCycles(cr *core.CompiledRegion, r *ir.Region, pr *prof.Profile) flo
 	for _, o := range r.AllOps() {
 		opByID[o.ID] = o
 	}
-	blockByID := map[int64]*ir.Block{}
-	for _, b := range r.Blocks {
-		blockByID[int64(b.ID)] = b
-	}
-	count := func(b *ir.Block) float64 {
-		if pr == nil {
-			return 1
-		}
-		if c, ok := pr.BlockCount[b]; ok {
-			return float64(c)
-		}
-		return 1
-	}
+	blockByID := regionBlocks(r)
 	var slots []float64
 	var miss []float64
 	for c := range cr.Code {
@@ -49,18 +37,7 @@ func EstimateCycles(cr *core.CompiledRegion, r *ir.Region, pr *prof.Profile) flo
 			miss = append(miss, 0)
 			continue
 		}
-		// Block extents from the label table.
-		type ext struct {
-			start int
-			blk   *ir.Block
-		}
-		var exts []ext
-		for lbl, idx := range cr.Labels[c] {
-			if b, ok := blockByID[lbl]; ok {
-				exts = append(exts, ext{idx, b})
-			}
-		}
-		sort.Slice(exts, func(i, j int) bool { return exts[i].start < exts[j].start })
+		exts := blockExtents(cr, c, blockByID)
 		var s float64
 		if len(exts) > 0 {
 			s += float64(exts[0].start) // prologue runs once
@@ -70,7 +47,7 @@ func EstimateCycles(cr *core.CompiledRegion, r *ir.Region, pr *prof.Profile) flo
 			if i+1 < len(exts) {
 				end = exts[i+1].start
 			}
-			s += float64(end-e.start) * count(e.blk)
+			s += float64(end-e.start) * blockCount(pr, e.blk)
 		}
 		// Expected miss stalls of this core's loads.
 		var m float64
@@ -105,4 +82,53 @@ func EstimateCycles(cr *core.CompiledRegion, r *ir.Region, pr *prof.Profile) flo
 		}
 	}
 	return best
+}
+
+// blockExtent is the run of one core's code that starts at a block's label
+// and ends where the next extent starts.
+type blockExtent struct {
+	start int
+	blk   *ir.Block
+}
+
+// regionBlocks indexes a region's blocks by label ID.
+func regionBlocks(r *ir.Region) map[int64]*ir.Block {
+	m := make(map[int64]*ir.Block, len(r.Blocks))
+	for _, b := range r.Blocks {
+		m[int64(b.ID)] = b
+	}
+	return m
+}
+
+// blockExtents returns core c's block extents from the label table, in code
+// order. Blocks whose labels share an index (an empty block falls through
+// to the next) are ordered by label ID, so the estimate never depends on
+// map iteration order: the earlier ones get empty extents and the last one
+// weighs the code.
+func blockExtents(cr *core.CompiledRegion, c int, blockByID map[int64]*ir.Block) []blockExtent {
+	var exts []blockExtent
+	for lbl, idx := range cr.Labels[c] {
+		if b, ok := blockByID[lbl]; ok {
+			exts = append(exts, blockExtent{idx, b})
+		}
+	}
+	sort.Slice(exts, func(i, j int) bool {
+		if exts[i].start != exts[j].start {
+			return exts[i].start < exts[j].start
+		}
+		return exts[i].blk.ID < exts[j].blk.ID
+	})
+	return exts
+}
+
+// blockCount is a block's profiled execution count as an estimate weight;
+// blocks the profile never saw, and every block without a profile, weigh 1.
+func blockCount(pr *prof.Profile, b *ir.Block) float64 {
+	if pr == nil {
+		return 1
+	}
+	if c, ok := pr.BlockCount[b]; ok {
+		return float64(c)
+	}
+	return 1
 }

@@ -1,9 +1,11 @@
 package compiler
 
 import (
+	"reflect"
 	"testing"
 
 	"voltron/internal/core"
+	"voltron/internal/workload"
 )
 
 func TestEstimateOrdersConfigurations(t *testing.T) {
@@ -99,5 +101,40 @@ func TestStrategyStrings(t *testing.T) {
 		if s.String() != str {
 			t.Errorf("%v.String() = %q, want %q", int(s), s.String(), str)
 		}
+	}
+}
+
+// TestClassifyProgramDeterministic repeats ClassifyProgram on every suite
+// workload at 2, 4, 16 and 64 cores under ilp, ftlp and hybrid auto
+// selection: identical inputs must give bit-identical classifications (the
+// confidences are served by /v1/validate and gate escalation).
+func TestClassifyProgramDeterministic(t *testing.T) {
+	for _, name := range workload.Names() {
+		t.Run(name, func(t *testing.T) {
+			t.Parallel()
+			p, err := workload.Build(name)
+			if err != nil {
+				t.Fatal(err)
+			}
+			pr := mustProfile(t, p)
+			for _, strat := range []Strategy{ForceILP, ForceFTLP, Hybrid} {
+				for _, cores := range []int{2, 4, 16, 64} {
+					opts := Options{Cores: cores, Strategy: strat, Selection: SelectAuto, Profile: pr, Workers: 1}
+					first, err := ClassifyProgram(p, opts)
+					if err != nil {
+						t.Fatal(err)
+					}
+					for rep := 0; rep < 4; rep++ {
+						again, err := ClassifyProgram(p, opts)
+						if err != nil {
+							t.Fatal(err)
+						}
+						if !reflect.DeepEqual(first, again) {
+							t.Fatalf("%v/%d: call %d classified %+v, first call %+v", strat, cores, rep+2, again, first)
+						}
+					}
+				}
+			}
+		})
 	}
 }
