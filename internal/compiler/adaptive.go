@@ -174,82 +174,9 @@ func confidence(best, second float64) float64 {
 	return 1 - best/second
 }
 
-// compileAuto is the tiered selector: confident regions take the
-// classifier's pick directly, and only TierHard regions run through the
-// measured pipeline — per region, so one hard region no longer forces
-// whole-program measurement. When nothing escalates the compile performs
-// zero simulations.
-func compileAuto(p *ir.Program, opts Options) (*core.CompiledProgram, error) {
-	plans := planRegions(p, opts)
-	cp := &core.CompiledProgram{
-		Name: p.Name, Cores: opts.Cores, Src: p,
-		Regions: make([]*core.CompiledRegion, len(p.Regions)),
-	}
-	cp.Selection = core.SelectionSummary{
-		Mode:    SelectStatic.String(),
-		Regions: make([]core.RegionSelection, len(p.Regions)),
-	}
-	var hard []int
-	for i := range plans {
-		pl := plans[i]
-		if pl.err != nil {
-			return nil, pl.err
-		}
-		cl := classifyPlan(pl, opts)
-		cp.Selection.Regions[i] = core.RegionSelection{
-			Tier: cl.Tier.String(), Choice: cl.Choice.String(), Confidence: cl.Confidence,
-		}
-		if cl.Tier == TierHard {
-			cp.Regions[i] = pl.serial // provisional; measured below
-			hard = append(hard, i)
-			continue
-		}
-		cp.Regions[i] = pl.lowering(cl.Choice)
-		cp.Selection.Static++
-	}
-	if len(hard) > 0 {
-		cp.Selection.Mode = "escalated"
-		cp.Selection.Escalated = len(hard)
-		if err := measureEscalated(p, opts, cp, plans, hard); err != nil {
-			return nil, err
-		}
-	}
-	if err := cp.Validate(); err != nil {
-		return nil, err
-	}
-	return cp, nil
-}
-
-// measureEscalated runs the unmodified measured pipeline over the escalated
-// regions: one all-serial baseline simulation supplies every region's
-// serial time, then each escalated region's candidates are simulated in
-// ascending region order against the background of the committed picks
-// (static winners everywhere, earlier escalated winners, serial for the
-// escalated regions not yet measured — the same
-// later-regions-see-earlier-winners context as full measured selection).
-func measureEscalated(p *ir.Program, opts Options, cp *core.CompiledProgram, plans []*regionPlan, hard []int) error {
-	base := &core.CompiledProgram{
-		Name: p.Name, Cores: opts.Cores, Src: p,
-		Regions: make([]*core.CompiledRegion, len(plans)),
-	}
-	for i, pl := range plans {
-		base.Regions[i] = pl.serial
-	}
-	pool := newEvalPool(opts, cp)
-	defer pool.close()
-	baseline, err := pool.serialBaseline(base)
-	if err != nil {
-		return err
-	}
-	for _, i := range hard {
-		cp.Selection.Regions[i].Choice = measureRegion(pool, baseline.RegionCycles[i], cp, i, plans[i]).String()
-	}
-	return nil
-}
-
 // ClassifyProgram reports, without simulating anything, the per-region plan
 // Compile would install under the same options. For a compile that selects
-// it mirrors compileAuto's static tier exactly: a region classified
+// it mirrors compileSelected's classification exactly: a region classified
 // TierEasy/TierSmall/TierDOALL here is what auto and static modes install.
 // A compile that does not select lowers each region directly, so each
 // region classifies as that lowering: TierDOALL/LLP where a multicore
@@ -273,12 +200,12 @@ func ClassifyProgram(p *ir.Program, opts Options) ([]Classification, error) {
 		}
 		return out, nil
 	}
-	plans := planRegions(p, opts)
+	plans, err := planRegions(p, opts)
+	if err != nil {
+		return nil, err
+	}
 	out := make([]Classification, len(plans))
 	for i, pl := range plans {
-		if pl.err != nil {
-			return nil, pl.err
-		}
 		out[i] = classifyPlan(pl, opts)
 	}
 	return out, nil
@@ -300,14 +227,6 @@ const recheckStallFraction = 0.5
 // is returned unchanged with a nil index list. cp must be a program
 // compiled from p with selection metadata (auto or static mode).
 func Recheck(p *ir.Program, cp *core.CompiledProgram, rep *trace.Report, opts Options) (*core.CompiledProgram, []int, error) {
-	opts = opts.withDefaults()
-	if opts.Profile == nil {
-		pr, err := prof.Collect(p)
-		if err != nil {
-			return nil, nil, fmt.Errorf("profiling %q: %w", p.Name, err)
-		}
-		opts.Profile = pr
-	}
 	var suspect []int
 	for i, sel := range cp.Selection.Regions {
 		if sel.Tier != TierEasy.String() || i >= len(rep.Regions) {
@@ -323,11 +242,13 @@ func Recheck(p *ir.Program, cp *core.CompiledProgram, rep *trace.Report, opts Op
 	if len(suspect) == 0 {
 		return cp, nil, nil
 	}
-	plans := planRegions(p, opts)
-	for _, pl := range plans {
-		if pl.err != nil {
-			return nil, nil, pl.err
-		}
+	opts, err := prepare(p, opts, "recheck")
+	if err != nil {
+		return nil, nil, err
+	}
+	plans, err := planRegions(p, opts)
+	if err != nil {
+		return nil, nil, err
 	}
 	out := &core.CompiledProgram{
 		Name: cp.Name, Cores: cp.Cores, Src: cp.Src,
@@ -338,23 +259,13 @@ func Recheck(p *ir.Program, cp *core.CompiledProgram, rep *trace.Report, opts Op
 	out.Selection.Static -= len(suspect)
 	out.Selection.Escalated += len(suspect)
 	out.Selection.Regions = append([]core.RegionSelection(nil), cp.Selection.Regions...)
-	base := &core.CompiledProgram{
-		Name: p.Name, Cores: opts.Cores, Src: p,
-		Regions: make([]*core.CompiledRegion, len(plans)),
-	}
-	for i, pl := range plans {
-		base.Regions[i] = pl.serial
-	}
-	pool := newEvalPool(opts, out)
-	defer pool.close()
-	baseline, err := pool.serialBaseline(base)
+	choices, err := measureRegions(opts, out, plans, suspect)
 	if err != nil {
 		return nil, nil, err
 	}
-	for _, i := range suspect {
-		choice := measureRegion(pool, baseline.RegionCycles[i], out, i, plans[i])
+	for k, i := range suspect {
 		out.Selection.Regions[i].Tier = TierRechecked.String()
-		out.Selection.Regions[i].Choice = choice.String()
+		out.Selection.Regions[i].Choice = choices[k].String()
 	}
 	if err := out.Validate(); err != nil {
 		return nil, nil, err

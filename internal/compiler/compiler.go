@@ -174,10 +174,7 @@ func Compile(p *ir.Program, opts Options) (*core.CompiledProgram, error) {
 		return nil, err
 	}
 	if opts.selects() {
-		if opts.Selection == SelectMeasured {
-			return compileMeasured(p, opts)
-		}
-		return compileAuto(p, opts)
+		return compileSelected(p, opts)
 	}
 	cp := &core.CompiledProgram{Name: p.Name, Cores: opts.Cores, Src: p}
 	for _, r := range p.Regions {

@@ -16,20 +16,23 @@ import (
 // efficient parallelism; for the Force* strategies the single technique
 // competes against serial only — the per-technique bars of Figures 10/11.
 //
-// This is the compiler's hot path, so it is organized for host parallelism
-// while staying bit-identical to the sequential pipeline (Workers=1):
+// One driver (compileSelected) serves measured, static and auto selection,
+// and Recheck re-measures through the same measureRegions. It is the
+// compiler's hot path, so it is organized for host parallelism while
+// staying bit-identical to the sequential pipeline (Workers=1):
 //
-//   - the serial baseline is simulated ONCE per selection pass — one
-//     full-program run of the all-serial lowering yields every region's
-//     serial time at once, where the old pipeline re-simulated the whole
-//     program per region just to read RegionCycles[i]. It runs on the
-//     eval pool's first machine, so a compile builds no other machine;
+//   - the serial baseline is simulated at most ONCE per selection pass —
+//     one full-program run of the all-serial lowering yields every region's
+//     serial time at once. It runs on the eval pool's first machine, so a
+//     compile builds no other machine, and not at all when nothing is
+//     measured;
 //   - candidate lowerings are generated concurrently per region (pure
 //     reads of the IR; every generator clones before mutating);
-//   - candidate simulations run on a bounded worker pool, one reusable
-//     core.Machine plus one cloned background CompiledProgram per worker,
-//     with a barrier per region so later regions are always measured
-//     against the committed winners of earlier ones;
+//   - candidate simulations run on up to maxCandidatesPerRegion workers,
+//     one reusable core.Machine plus one cloned background CompiledProgram
+//     each, with worker w taking candidates w, w+n, … and a barrier per
+//     region so later regions are always measured against the committed
+//     winners of earlier ones;
 //   - a candidate run simulates only the regions up to and including the
 //     measured one: the machine runs regions in order, so later regions
 //     cannot change its time. Compared with a full run, this changes the
@@ -82,47 +85,56 @@ func (pl *regionPlan) lowering(c Choice) *core.CompiledRegion {
 	return pl.serial
 }
 
-func compileMeasured(p *ir.Program, opts Options) (*core.CompiledProgram, error) {
-	plans := planRegions(p, opts)
-	cp := &core.CompiledProgram{
-		Name: p.Name, Cores: opts.Cores, Src: p,
-		Regions: make([]*core.CompiledRegion, len(p.Regions)),
-	}
-	cp.Selection = core.SelectionSummary{
-		Mode:    SelectMeasured.String(),
-		Regions: make([]core.RegionSelection, len(p.Regions)),
-	}
-	for i, pl := range plans {
-		if pl.err != nil {
-			return nil, pl.err
-		}
-		cp.Regions[i] = pl.serial
-	}
-	pool := newEvalPool(opts, cp)
-	defer pool.close()
-	baseline, err := pool.serialBaseline(cp)
+// compileSelected is the one selection driver for every mode. It plans
+// every region, installs each pick that needs no simulation (small, DOALL,
+// the classifier's picks, serial where nothing can be ranked), then
+// measures a list of regions in ascending order: in measured mode every
+// region with candidates, in auto mode the TierHard ones, in static mode
+// none. Regions awaiting measurement are serial until measured. Installing
+// later picks before measuring is safe: a candidate run stops after its
+// region, so later regions cannot change its time.
+func compileSelected(p *ir.Program, opts Options) (*core.CompiledProgram, error) {
+	plans, err := planRegions(p, opts)
 	if err != nil {
 		return nil, err
 	}
-	for i := range p.Regions {
-		pl := plans[i]
-		sel := &cp.Selection.Regions[i]
-		*sel = core.RegionSelection{Tier: TierMeasured.String(), Choice: ChoseSingle.String(), Confidence: 1}
-		if pl.small {
-			sel.Tier = TierSmall.String()
-			continue // not worth parallelizing; stays serial
+	cp := &core.CompiledProgram{
+		Name: p.Name, Cores: opts.Cores, Src: p,
+		Regions: make([]*core.CompiledRegion, len(plans)),
+	}
+	sel := &cp.Selection
+	sel.Regions = make([]core.RegionSelection, len(plans))
+	measured := opts.Selection == SelectMeasured
+	var idx []int
+	for i, pl := range plans {
+		cl := classifyPlan(pl, opts)
+		measure := cl.Tier == TierHard
+		if measured && (cl.Tier == TierEasy || cl.Tier == TierHard) {
+			// Measured mode ranks by simulation alone.
+			cl = Classification{Tier: TierMeasured, Choice: ChoseSingle, Confidence: 1}
+			measure = len(pl.candidates) > 0
 		}
-		if pl.doall != nil {
-			cp.Regions[i] = pl.doall
-			*sel = core.RegionSelection{Tier: TierDOALL.String(), Choice: ChoseLLP.String(), Confidence: 1}
-			pool.commit(i, pl.doall)
-			continue
+		sel.Regions[i] = core.RegionSelection{Tier: cl.Tier.String(), Choice: cl.Choice.String(), Confidence: cl.Confidence}
+		cp.Regions[i] = pl.lowering(cl.Choice)
+		if measure {
+			cp.Regions[i] = pl.serial
+			idx = append(idx, i)
 		}
-		if len(pl.candidates) == 0 {
-			continue
-		}
-		sel.Choice = measureRegion(pool, baseline.RegionCycles[i], cp, i, pl).String()
-		cp.Selection.Measured++
+	}
+	switch {
+	case measured:
+		sel.Mode, sel.Measured = SelectMeasured.String(), len(idx)
+	case len(idx) > 0:
+		sel.Mode, sel.Static, sel.Escalated = "escalated", len(plans)-len(idx), len(idx)
+	default:
+		sel.Mode, sel.Static = SelectStatic.String(), len(plans)
+	}
+	choices, err := measureRegions(opts, cp, plans, idx)
+	if err != nil {
+		return nil, err
+	}
+	for k, i := range idx {
+		sel.Regions[i].Choice = choices[k].String()
 	}
 	if err := cp.Validate(); err != nil {
 		return nil, err
@@ -130,20 +142,35 @@ func compileMeasured(p *ir.Program, opts Options) (*core.CompiledProgram, error)
 	return cp, nil
 }
 
-// serialBaseline simulates the all-serial lowering once — one
-// full-program run yields every region's serial time at once. A failed
-// baseline is a hard error: without serial region times no candidate could
-// ever be compared against serial, and silently letting the first
-// non-failing candidate win would ship a lowering that was never measured
-// to help. It runs on worker 0's machine before any candidate is queued (a
-// reused machine's run is identical to a fresh one's), so a compile builds
-// no machine beyond the pool's.
-func (p *evalPool) serialBaseline(cp *core.CompiledProgram) (*core.RunResult, error) {
-	res, err := p.workers[0].machine.Run(cp)
+// measureRegions measures the listed regions of cp in ascending order, each
+// against the background of cp's committed picks and the winners of the
+// regions before it, installs each winner into cp and returns the choices.
+// It is the only place selection simulates. The all-serial baseline runs
+// once, on the eval pool's first machine, and yields every region's serial
+// time. A failed baseline is a hard error: without serial times no
+// candidate could be compared against serial. Nothing is simulated when
+// the list is empty.
+func measureRegions(opts Options, cp *core.CompiledProgram, plans []*regionPlan, idx []int) ([]Choice, error) {
+	if len(idx) == 0 {
+		return nil, nil
+	}
+	pool := newEvalPool(opts, cp)
+	base := &core.CompiledProgram{
+		Name: cp.Name, Cores: cp.Cores, Src: cp.Src,
+		Regions: make([]*core.CompiledRegion, len(plans)),
+	}
+	for i, pl := range plans {
+		base.Regions[i] = pl.serial
+	}
+	baseline, err := pool[0].machine.Run(base)
 	if err != nil {
 		return nil, fmt.Errorf("%s: serial baseline: %w", cp.Name, err)
 	}
-	return res, nil
+	choices := make([]Choice, len(idx))
+	for k, i := range idx {
+		choices[k] = measureRegion(pool, baseline.RegionCycles[i], cp, i, plans[i])
+	}
+	return choices, nil
 }
 
 // measureRegion simulates one region's candidates against the committed
@@ -152,7 +179,7 @@ func (p *evalPool) serialBaseline(cp *core.CompiledProgram) (*core.RunResult, er
 // ties keep the earlier entry (serial first) — exactly the sequential
 // pipeline's tie-breaking. serialCycles is the region's time in the
 // all-serial baseline.
-func measureRegion(pool *evalPool, serialCycles int64, cp *core.CompiledProgram, i int, pl *regionPlan) Choice {
+func measureRegion(pool evalPool, serialCycles int64, cp *core.CompiledProgram, i int, pl *regionPlan) Choice {
 	crs := make([]*core.CompiledRegion, len(pl.candidates))
 	for k := range pl.candidates {
 		crs[k] = pl.candidates[k].cr
@@ -170,10 +197,11 @@ func measureRegion(pool *evalPool, serialCycles int64, cp *core.CompiledProgram,
 }
 
 // planRegions generates every region's candidate lowerings concurrently
-// (bounded by opts.Workers). Generation only reads the shared IR, so the
-// fan-out is race-free; results are slotted by region index so the outcome
-// is independent of scheduling.
-func planRegions(p *ir.Program, opts Options) []*regionPlan {
+// (bounded by opts.Workers) and returns the first generation error in
+// region order. Generation only reads the shared IR, so the fan-out is
+// race-free; results are slotted by region index so the outcome is
+// independent of scheduling.
+func planRegions(p *ir.Program, opts Options) ([]*regionPlan, error) {
 	plans := make([]*regionPlan, len(p.Regions))
 	sem := make(chan struct{}, opts.Workers)
 	var wg sync.WaitGroup
@@ -187,7 +215,12 @@ func planRegions(p *ir.Program, opts Options) []*regionPlan {
 		}(i, r)
 	}
 	wg.Wait()
-	return plans
+	for _, pl := range plans {
+		if pl.err != nil {
+			return nil, pl.err
+		}
+	}
+	return plans, nil
 }
 
 // planRegion computes one region's selection plan: the serial baseline
@@ -235,92 +268,74 @@ func planRegion(r *ir.Region, opts Options) *regionPlan {
 // evalPool simulates candidate lowerings concurrently. Each worker owns one
 // reusable Machine and one clone of the background program, kept in sync
 // with the winners committed so far.
-type evalPool struct {
-	jobs    chan evalJob
-	wg      sync.WaitGroup
-	workers []*evalWorker
-}
+type evalPool []*evalWorker
 
 type evalWorker struct {
 	machine *core.Machine
 	bg      *core.CompiledProgram
 }
 
-type evalJob struct {
-	region int
-	cand   *core.CompiledRegion
-	cycles *int64
-	done   *sync.WaitGroup
-}
-
-func newEvalPool(opts Options, cp *core.CompiledProgram) *evalPool {
-	n := opts.Workers
-	if n > maxCandidatesPerRegion {
-		n = maxCandidatesPerRegion
-	}
-	if n < 1 {
-		n = 1
-	}
-	pool := &evalPool{jobs: make(chan evalJob)}
+func newEvalPool(opts Options, cp *core.CompiledProgram) evalPool {
+	n := min(max(opts.Workers, 1), maxCandidatesPerRegion)
 	// Measurement machines are throwaways whose stats nobody reads.
 	evalCfg := core.DefaultConfig(cp.Cores)
 	evalCfg.NoStats = true
-	for w := 0; w < n; w++ {
-		ew := &evalWorker{
+	pool := make(evalPool, n)
+	for w := range pool {
+		pool[w] = &evalWorker{
 			machine: core.New(evalCfg),
 			bg: &core.CompiledProgram{
 				Name: cp.Name, Cores: cp.Cores, Src: cp.Src,
 				Regions: append([]*core.CompiledRegion(nil), cp.Regions...),
 			},
 		}
-		pool.workers = append(pool.workers, ew)
-		pool.wg.Add(1)
-		go func() {
-			defer pool.wg.Done()
-			for job := range pool.jobs {
-				ew.bg.Regions[job.region] = job.cand
-				// Regions after the measured one cannot change its
-				// time, so the run stops after it.
-				prefix := *ew.bg
-				prefix.Regions = ew.bg.Regions[:job.region+1]
-				res, err := ew.machine.Run(&prefix)
-				if err != nil {
-					*job.cycles = -1 // a misbehaving candidate never wins
-				} else {
-					*job.cycles = res.RegionCycles[job.region]
-				}
-				job.done.Done()
-			}
-		}()
 	}
 	return pool
 }
 
 // measure simulates one region's candidates and returns their region times
-// in candidate order (-1 marks a failed simulation). It returns only after
-// every candidate finished — the per-region barrier.
-func (p *evalPool) measure(region int, cands []*core.CompiledRegion) []int64 {
+// in candidate order (-1 marks a failed simulation). Worker w runs
+// candidates w, w+n, … in order; the fixed assignment is safe because a
+// result depends only on the committed background and the candidate, and a
+// reused machine runs exactly like a fresh one. It returns only after every
+// candidate finished — the per-region barrier.
+func (p evalPool) measure(region int, cands []*core.CompiledRegion) []int64 {
 	cycles := make([]int64, len(cands))
-	var done sync.WaitGroup
-	done.Add(len(cands))
-	for k, cand := range cands {
-		p.jobs <- evalJob{region: region, cand: cand, cycles: &cycles[k], done: &done}
+	var wg sync.WaitGroup
+	for w := 0; w < len(p) && w < len(cands); w++ {
+		wg.Add(1)
+		go func(ew *evalWorker) {
+			defer wg.Done()
+			for k := w; k < len(cands); k += len(p) {
+				cycles[k] = ew.run(region, cands[k])
+			}
+		}(p[w])
 	}
-	done.Wait()
+	wg.Wait()
 	return cycles
+}
+
+// run simulates cand as the region'th region of the worker's background and
+// returns its region time, or -1 when the run fails (a misbehaving
+// candidate never wins). Regions after the measured one cannot change its
+// time, so the run stops after it.
+func (ew *evalWorker) run(region int, cand *core.CompiledRegion) int64 {
+	ew.bg.Regions[region] = cand
+	prefix := *ew.bg
+	prefix.Regions = ew.bg.Regions[:region+1]
+	res, err := ew.machine.Run(&prefix)
+	if err != nil {
+		return -1
+	}
+	return res.RegionCycles[region]
 }
 
 // commit installs a region's winning lowering into every worker's
 // background program, so later regions are measured against the winners of
 // earlier ones — the same context the sequential pipeline used. Callers
 // only commit between barriers, when every worker is idle.
-func (p *evalPool) commit(region int, cr *core.CompiledRegion) {
-	for _, w := range p.workers {
+func (p evalPool) commit(region int, cr *core.CompiledRegion) {
+	for _, w := range p {
 		w.bg.Regions[region] = cr
 	}
-}
-
-func (p *evalPool) close() {
-	close(p.jobs)
-	p.wg.Wait()
 }
