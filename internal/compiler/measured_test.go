@@ -7,6 +7,7 @@ import (
 
 	"voltron/internal/core"
 	"voltron/internal/ir"
+	"voltron/internal/isa"
 	"voltron/internal/prof"
 	"voltron/internal/workload"
 )
@@ -144,11 +145,13 @@ func BenchmarkMeasuredSelection(b *testing.B) {
 	}
 }
 
-// TestPrefixRunMatchesFullRun pins prefix-only candidate runs: for every
+// TestPrefixRunMatchesFullRun pins checkpointed candidate runs: for every
 // region measured selection simulates — the suite under ilp, ftlp and
 // hybrid at 2, 4, 16 and 64 cores — each candidate's time from the eval
-// pool's prefix run must equal the region's time in a full-program run of
-// the same background.
+// pool, resumed from the committed region-boundary checkpoint, must equal
+// the region's time in a full-program run of the same background. The
+// failed-gap case commits a region that fails to simulate ahead of
+// measured ones: every later candidate must score -1, as a full run does.
 func TestPrefixRunMatchesFullRun(t *testing.T) {
 	for _, name := range workload.Names() {
 		t.Run(name, func(t *testing.T) {
@@ -163,51 +166,116 @@ func TestPrefixRunMatchesFullRun(t *testing.T) {
 			for _, strat := range []Strategy{ForceILP, ForceFTLP, Hybrid} {
 				for _, cores := range []int{2, 4, 16, 64} {
 					opts := Options{Cores: cores, Strategy: strat, Profile: pr, Workers: 1}.withDefaults()
-					checked += checkPrefixRuns(t, p, opts)
+					plans, err := planRegions(p, opts)
+					if err != nil {
+						t.Fatal(err)
+					}
+					r := checkPrefixRuns(t, p, opts, plans)
+					checked += r.ok + r.failed
+					// The replay must have installed exactly what Compile
+					// selects. Regions compare by their emitted fields: a
+					// region's lazily resolved branch tables are filled only
+					// once it has been simulated.
+					want, err := Compile(p, opts)
+					if err != nil {
+						t.Fatal(err)
+					}
+					var gotBuf, wantBuf []byte
+					for i := range r.regions {
+						gotBuf = appendRegion(gotBuf, r.regions[i])
+						wantBuf = appendRegion(wantBuf, want.Regions[i])
+					}
+					if !bytes.Equal(gotBuf, wantBuf) {
+						t.Errorf("%v/%d: replayed selection differs from Compile's", opts.Strategy, opts.Cores)
+					}
 				}
 			}
 			t.Logf("%d candidate runs checked", checked)
 		})
 	}
+	t.Run("failed-gap", func(t *testing.T) {
+		t.Parallel()
+		p, err := workload.Build("gsmdecode")
+		if err != nil {
+			t.Fatal(err)
+		}
+		p.PrepareOnce(func() { Optimize(p) })
+		opts := Options{Cores: 4, Strategy: ForceILP, Profile: mustProfile(t, p), Workers: 2}.withDefaults()
+		plans, err := planRegions(p, opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		// Commit a deadlocking region in place of region 0, ahead of the
+		// measured ones. Its serial lowering still runs, so the baseline
+		// succeeds.
+		measuredAfter := false
+		for _, pl := range plans[1:] {
+			measuredAfter = measuredAfter || !pl.small && len(pl.candidates) > 0
+		}
+		if !measuredAfter {
+			t.Fatal("gsmdecode has no measured region after its first")
+		}
+		plans[0].small, plans[0].doall = false, deadlockRegion(opts.Cores)
+		if r := checkPrefixRuns(t, p, opts, plans); r.ok != 0 || r.failed == 0 {
+			t.Errorf("after a failed gap region: %d candidates scored, %d failed; want all failed", r.ok, r.failed)
+		}
+	})
+}
+
+// deadlockRegion is a valid decoupled region that deadlocks: core 0
+// receives from core 1, which never wakes.
+func deadlockRegion(cores int) *core.CompiledRegion {
+	cr := &core.CompiledRegion{
+		Name: "deadlock", Mode: core.Decoupled,
+		Code:   make([][]isa.Inst, cores),
+		Labels: make([]map[int64]int, cores),
+		Entry:  make([]int, cores), StartAwake: make([]bool, cores),
+	}
+	cr.Code[0] = []isa.Inst{{Op: isa.RECV, Dst: isa.GPR(1), Core: 1}, {Op: isa.HALT}}
+	cr.StartAwake[0] = true
+	return cr
+}
+
+// replay is checkPrefixRuns' outcome: the installed regions and the
+// numbers of candidates that scored and that failed.
+type replay struct {
+	regions    []*core.CompiledRegion
+	ok, failed int
 }
 
 // checkPrefixRuns replays compileSelected's measured mode (SelectMeasured is
-// the zero mode) region by region, comparing every candidate's prefix-run
-// time against a full run, and returns the number of candidates compared.
-func checkPrefixRuns(t *testing.T, p *ir.Program, opts Options) int {
+// the zero mode) region by region over plans, comparing every candidate's
+// time from the eval pool against a full run.
+func checkPrefixRuns(t *testing.T, p *ir.Program, opts Options, plans []*regionPlan) replay {
 	t.Helper()
-	plans, err := planRegions(p, opts)
-	if err != nil {
-		t.Fatal(err)
-	}
 	cp := &core.CompiledProgram{Name: p.Name, Cores: opts.Cores, Src: p,
 		Regions: make([]*core.CompiledRegion, len(plans))}
 	for i, pl := range plans {
 		cp.Regions[i] = pl.serial
 	}
 	pool := newEvalPool(opts, cp)
-	baseline, err := pool[0].machine.Run(cp)
+	baseline, err := pool.workers[0].machine.Run(cp)
 	if err != nil {
 		t.Fatal(err)
 	}
 	cfg := core.DefaultConfig(opts.Cores)
 	cfg.NoStats = true
 	full := core.New(cfg)
-	checked := 0
+	var out replay
 	for i, pl := range plans {
 		if pl.small {
 			continue
 		}
 		if pl.doall != nil {
 			cp.Regions[i] = pl.doall
-			pool.commit(i, pl.doall)
+			pool.commit(i, pl.doall, -1)
 			continue
 		}
 		crs := make([]*core.CompiledRegion, len(pl.candidates))
 		for k := range pl.candidates {
 			crs[k] = pl.candidates[k].cr
 		}
-		got := pool.measure(i, crs)
+		got := pool.measure(i, crs, baseline.RegionCycles[i])
 		for k, cand := range crs {
 			bg := *cp
 			bg.Regions = append([]*core.CompiledRegion(nil), cp.Regions...)
@@ -217,27 +285,17 @@ func checkPrefixRuns(t *testing.T, p *ir.Program, opts Options) int {
 				want = res.RegionCycles[i]
 			}
 			if got[k] != want {
-				t.Errorf("%v/%d region %d candidate %v: prefix run %d cycles, full run %d",
+				t.Errorf("%v/%d region %d candidate %v: resumed run %d cycles, full run %d",
 					opts.Strategy, opts.Cores, i, pl.candidates[k].choice, got[k], want)
 			}
-			checked++
+			if got[k] < 0 {
+				out.failed++
+			} else {
+				out.ok++
+			}
 		}
 		measureRegion(pool, baseline.RegionCycles[i], cp, i, pl)
 	}
-	// The replay must have installed exactly what Compile selects. Regions
-	// compare by their emitted fields: a region's lazily resolved branch
-	// tables are filled only once it has been simulated.
-	want, err := Compile(p, opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var gotBuf, wantBuf []byte
-	for i := range cp.Regions {
-		gotBuf = appendRegion(gotBuf, cp.Regions[i])
-		wantBuf = appendRegion(wantBuf, want.Regions[i])
-	}
-	if !bytes.Equal(gotBuf, wantBuf) {
-		t.Errorf("%v/%d: replayed selection differs from Compile's", opts.Strategy, opts.Cores)
-	}
-	return checked
+	out.regions = cp.Regions
+	return out
 }

@@ -243,6 +243,11 @@ type runState struct {
 	// pollCtr rate-limits the ctx.Err() poll to one per 4096 loop passes.
 	ctx     context.Context
 	pollCtr uint32
+	// prevMode is the mode of the last region run (-1 before the first);
+	// res is the result of a run that completed, the state Save records
+	// (nil while a run is in progress or after one failed).
+	prevMode Mode
+	res      *RunResult
 }
 
 // checkCancel polls the run's context at most once every 4096 calls, so the
@@ -272,37 +277,131 @@ func (m *Machine) Run(cp *CompiledProgram) (*RunResult, error) {
 // polled from the simulation loops, so a long-running simulation notices a
 // canceled context within a bounded number of loop passes.
 func (m *Machine) RunContext(ctx context.Context, cp *CompiledProgram) (*RunResult, error) {
-	if err := cp.Validate(); err != nil {
-		return nil, err
+	return m.run(ctx, nil, cp)
+}
+
+// ResumeContext continues a checkpointed run: it reinstates ck and
+// simulates the regions of cp after the checkpoint's, returning the whole
+// run's result — exactly what RunContext(ctx, cp) returns, provided cp's
+// first regions are the ones the checkpointed run executed. The caller
+// guarantees that; the machine checks the configuration, the region count
+// and the memory size. A resumed run cannot be traced: its timeline would
+// start mid-run.
+func (m *Machine) ResumeContext(ctx context.Context, ck *Checkpoint, cp *CompiledProgram) (*RunResult, error) {
+	switch {
+	case ck.cfg != m.cfg.shape():
+		return nil, fmt.Errorf("checkpoint taken on a differently configured machine")
+	case m.cfg.Tracer != nil:
+		return nil, fmt.Errorf("cannot trace a resumed run")
+	case ck.regions > len(cp.Regions):
+		return nil, fmt.Errorf("checkpoint after region %d, program has %d regions", ck.regions, len(cp.Regions))
+	case ck.sys.Words() != cp.Src.MemWords():
+		return nil, fmt.Errorf("checkpoint memory has %d words, program needs %d", ck.sys.Words(), cp.Src.MemWords())
+	}
+	return m.run(ctx, ck, cp)
+}
+
+// Checkpoint is a machine's state at a region boundary, recorded by Save
+// after a run and reinstated by ResumeContext: the clock, the previous
+// region's mode, the region times and stats so far, the memory hierarchy
+// and both networks. Per-core scratch and the wake scheduler are reset at
+// every region, so they are not kept. A Checkpoint's buffers are reused by
+// later saves into it.
+type Checkpoint struct {
+	cfg          Config
+	regions      int
+	now          int64
+	prevMode     Mode
+	regionCycles []int64
+	run          stats.Run
+	sys          mem.Snapshot
+	direct       xnet.DirectState
+	queue        xnet.QueueSnapshot
+}
+
+// shape is the part of a configuration a checkpoint must agree with: all
+// of it but the tracer and the stepper choice, which change neither
+// cycles nor stats.
+func (cfg Config) shape() Config {
+	cfg.Tracer, cfg.Reference = nil, false
+	return cfg
+}
+
+// Save records the state the machine's last run ended in into ck. Call it
+// before the next run on the machine and before changing the last run's
+// result. It fails when the last run did not complete or left a
+// transaction live.
+func (m *Machine) Save(ck *Checkpoint) error {
+	rs := &m.rs
+	if rs.res == nil {
+		return fmt.Errorf("no completed run to checkpoint")
+	}
+	if err := m.sys.Save(&ck.sys); err != nil {
+		return err
+	}
+	ck.cfg = m.cfg.shape()
+	ck.regions = len(rs.res.RegionCycles)
+	ck.now = rs.now
+	ck.prevMode = rs.prevMode
+	ck.regionCycles = append(ck.regionCycles[:0], rs.res.RegionCycles...)
+	cores := append(ck.run.Cores[:0], rs.run.Cores...)
+	ck.run = *rs.run
+	ck.run.Cores = cores
+	ck.direct = m.direct.Save()
+	m.queue.Save(&ck.queue)
+	return nil
+}
+
+// run simulates cp from the start, or from the region boundary ck records
+// when ck is non-nil.
+func (m *Machine) run(ctx context.Context, ck *Checkpoint, cp *CompiledProgram) (*RunResult, error) {
+	m.rs.res = nil
+	first := 0
+	if ck != nil {
+		first = ck.regions
+	}
+	for _, cr := range cp.Regions[first:] {
+		if err := cr.Validate(cp.Cores); err != nil {
+			return nil, err
+		}
 	}
 	if cp.Cores != m.cfg.Cores {
 		return nil, fmt.Errorf("program compiled for %d cores, machine has %d", cp.Cores, m.cfg.Cores)
 	}
-	flat := cp.NewMemory()
+	var flat *mem.Flat
+	if ck == nil {
+		flat = cp.NewMemory()
+	}
 	if m.sys == nil {
 		m.sys = mem.NewSystem(m.cfg.Mem, flat)
 		m.direct = xnet.NewDirectNet(m.top)
 		m.queue = xnet.NewQueueNet(m.top)
-	} else {
+	} else if ck == nil {
 		// Warm machine: reinstate the components' initial state in place
 		// instead of rebuilding them — the whole point of pooling.
 		m.sys.Reset(flat)
 		m.direct.Reset()
 		m.queue.Reset()
 	}
+	if ck != nil {
+		flat = m.sys.Restore(&ck.sys)
+		m.direct.Restore(ck.direct)
+		m.queue.Restore(&ck.queue)
+	}
 	rs := &m.rs
 	cores := rs.cores[:0]
 	*rs = runState{
-		m:       m,
-		cp:      cp,
-		sys:     m.sys,
-		direct:  m.direct,
-		queue:   m.queue,
-		run:     stats.NewRun(m.cfg.Cores),
-		cores:   cores,
-		statsOn: !m.cfg.NoStats,
-		tr:      m.cfg.Tracer,
-		ref:     m.cfg.Reference,
+		m:        m,
+		cp:       cp,
+		sys:      m.sys,
+		direct:   m.direct,
+		queue:    m.queue,
+		run:      stats.NewRun(m.cfg.Cores),
+		cores:    cores,
+		statsOn:  !m.cfg.NoStats,
+		tr:       m.cfg.Tracer,
+		ref:      m.cfg.Reference,
+		prevMode: Mode(-1),
 	}
 	// Drop run-scoped references on the way out so an idle pooled machine
 	// pins neither the compiled program nor the request's context/tracer.
@@ -326,15 +425,23 @@ func (m *Machine) RunContext(ctx context.Context, cp *CompiledProgram) (*RunResu
 		rs.queue.Cap = m.cfg.QueueCap
 	}
 	res := &RunResult{Run: rs.run, Mem: flat, RegionCycles: make([]int64, 0, len(cp.Regions))}
-	prevMode := Mode(-1)
-	for i, cr := range cp.Regions {
+	if ck != nil {
+		cores := rs.run.Cores
+		*rs.run = ck.run
+		rs.run.Cores = cores
+		copy(cores, ck.run.Cores)
+		rs.now, rs.prevMode = ck.now, ck.prevMode
+		res.RegionCycles = append(res.RegionCycles, ck.regionCycles...)
+	}
+	for i := first; i < len(cp.Regions); i++ {
+		cr := cp.Regions[i]
 		if rs.tr != nil {
 			rs.tr.RegionBegin(rs.now, cr.Name, cr.Mode.String(), m.cfg.Cores)
 		}
 		start := rs.now
 		// Region barrier (+ mode switch when the mode changes).
 		overhead := m.cfg.RegionSyncLat
-		if prevMode >= 0 && prevMode.StatsMode() != cr.Mode.StatsMode() {
+		if rs.prevMode >= 0 && rs.prevMode.StatsMode() != cr.Mode.StatsMode() {
 			overhead += m.cfg.ModeSwitchLat
 		}
 		rs.chargeAll(stats.SyncCallRet, overhead)
@@ -348,11 +455,12 @@ func (m *Machine) RunContext(ctx context.Context, cp *CompiledProgram) (*RunResu
 		cycles := rs.now - start
 		res.RegionCycles = append(res.RegionCycles, cycles)
 		rs.run.ModeCycles[cr.Mode.StatsMode()] += cycles
-		prevMode = cr.Mode
+		rs.prevMode = cr.Mode
 	}
 	rs.run.TotalCycles = rs.now
 	rs.run.TMConflicts = rs.sys.TM.Conflicts()
 	res.MemStats = rs.sys.St
+	rs.res = res
 	return res, nil
 }
 

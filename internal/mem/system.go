@@ -1,6 +1,11 @@
 package mem
 
-import "voltron/internal/trace"
+import (
+	"fmt"
+	"slices"
+
+	"voltron/internal/trace"
+)
 
 // The memory system: per-core private L1 I and D caches kept coherent by a
 // bus-based snooping MOESI protocol, over a shared banked L2 and main
@@ -68,6 +73,8 @@ type System struct {
 	l1d []*cache
 	l1i []*cache
 	l2  *cache
+	// all lists every cache in snapshot order: each L1D, each L1I, the L2.
+	all []*cache
 	// lastFetch[core] holds the addresses of the L1I line the core
 	// fetched last (see Fetch).
 	lastFetch []addrRange
@@ -86,6 +93,7 @@ func NewSystem(cfg Config, flat *Flat) *System {
 		s.l1i = append(s.l1i, newCache(cfg.L1I))
 	}
 	s.l2 = newCache(cfg.L2)
+	s.all = append(append(append(s.all, s.l1d...), s.l1i...), s.l2)
 	s.lastFetch = make([]addrRange, cfg.Cores)
 	banks := cfg.L2Banks
 	if banks < 1 {
@@ -110,14 +118,10 @@ func NewSystem(cfg Config, flat *Flat) *System {
 func (s *System) Reset(flat *Flat) {
 	s.Flat = flat
 	s.Tracer = nil
-	for _, c := range s.l1d {
-		c.reset()
-	}
-	for _, c := range s.l1i {
+	for _, c := range s.all {
 		c.reset()
 	}
 	clear(s.lastFetch)
-	s.l2.reset()
 	s.busFreeAt = 0
 	clear(s.bankFreeAt)
 	s.St = Stats{
@@ -353,4 +357,85 @@ func (s *System) fetchLine(core int, addr, now int64) int64 {
 // L1DState exposes a line's MOESI state for tests.
 func (s *System) L1DState(core int, addr int64) string {
 	return s.l1d[core].stateOf(addr).String()
+}
+
+// Snapshot is a System's state at a region boundary, taken by Save and
+// reinstated by Restore: every cache's lines and LRU clock, the fetch
+// fast path, the bus and bank timers, the event counters, the TM conflict
+// count and the backing store's words. No transaction is live at a
+// boundary, so no TM set or undo log is kept. Its buffers are reused by
+// later saves: once they have grown to a machine's size, Save allocates
+// nothing.
+type Snapshot struct {
+	cfg       Config
+	lines     []line  // every L1D, then every L1I, then the L2
+	ticks     []int64 // the caches' LRU clocks in the same order
+	lastFetch []addrRange
+	busFreeAt int64
+	// bankFreeAt, then the per-core L1D hits, L1D misses, L1I hits and
+	// L1I misses.
+	counts    []int64
+	st        Stats // scalar counters; the per-core ones live in counts
+	conflicts int64
+	words     []uint64
+}
+
+// Save copies the hierarchy's state into sn. It fails while a transaction
+// is live: a snapshot is only defined at a region boundary.
+func (s *System) Save(sn *Snapshot) error {
+	if s.TM.anyActive() {
+		return fmt.Errorf("mem: snapshot with a live transaction")
+	}
+	sn.cfg = s.Cfg
+	n := 0
+	for _, c := range s.all {
+		n += len(c.lines)
+	}
+	sn.lines, sn.ticks = slices.Grow(sn.lines[:0], n), sn.ticks[:0]
+	for _, c := range s.all {
+		sn.lines = append(sn.lines, c.lines...)
+		sn.ticks = append(sn.ticks, c.tick)
+	}
+	sn.lastFetch = append(sn.lastFetch[:0], s.lastFetch...)
+	sn.busFreeAt = s.busFreeAt
+	sn.counts = append(sn.counts[:0], s.bankFreeAt...)
+	for _, v := range [][]int64{s.St.L1DHits, s.St.L1DMisses, s.St.L1IHits, s.St.L1IMisses} {
+		sn.counts = append(sn.counts, v...)
+	}
+	sn.st = s.St
+	sn.st.L1DHits, sn.st.L1DMisses, sn.st.L1IHits, sn.st.L1IMisses = nil, nil, nil, nil
+	sn.conflicts = s.TM.conflicts
+	sn.words = append(sn.words[:0], s.Flat.words...)
+	return nil
+}
+
+// Words returns the size of the snapshot's backing store in words.
+func (sn *Snapshot) Words() int64 { return int64(len(sn.words)) }
+
+// Restore reinstates a snapshot taken on a System of the same
+// configuration over a new backing store holding the snapshot's words,
+// and returns that store. Like Reset it allocates fresh per-core stat
+// slices, so a prior run's retained Stats stay frozen.
+func (s *System) Restore(sn *Snapshot) *Flat {
+	if sn.cfg != s.Cfg {
+		panic("mem: snapshot of a different memory configuration")
+	}
+	s.Flat = &Flat{words: append([]uint64(nil), sn.words...)}
+	s.Tracer = nil
+	off := 0
+	for k, c := range s.all {
+		off += copy(c.lines, sn.lines[off:])
+		c.tick = sn.ticks[k]
+	}
+	copy(s.lastFetch, sn.lastFetch)
+	s.busFreeAt = sn.busFreeAt
+	n := copy(s.bankFreeAt, sn.counts)
+	s.St = sn.st
+	for _, v := range []*[]int64{&s.St.L1DHits, &s.St.L1DMisses, &s.St.L1IHits, &s.St.L1IMisses} {
+		*v = append([]int64(nil), sn.counts[n:n+s.Cfg.Cores]...)
+		n += s.Cfg.Cores
+	}
+	s.TM.Reset()
+	s.TM.conflicts = sn.conflicts
+	return s.Flat
 }

@@ -172,3 +172,13 @@ func (tm *TM) AnyAborted() bool {
 	}
 	return false
 }
+
+// anyActive reports whether any core has a live transaction.
+func (tm *TM) anyActive() bool {
+	for i := range tm.tx {
+		if tm.tx[i].active {
+			return true
+		}
+	}
+	return false
+}

@@ -28,14 +28,20 @@ func (c *Counter) Add(delta int64) { c.n.Add(delta) }
 // Value returns the current count.
 func (c *Counter) Value() int64 { return c.n.Load() }
 
-// histBuckets is the number of power-of-two latency buckets: bucket i
-// counts observations with ceil(log2(µs)) == i, so the histogram spans
-// 1 µs .. ~2^47 µs (years) with constant memory.
-const histBuckets = 48
+// Histogram buckets are log-linear: values below 16 µs have a bucket each,
+// and every octave [2^e, 2^(e+1)) above is split into histSub equal-width
+// sub-buckets. A bucket's upper bound is then within 1/histSub (12.5%) of
+// any value in it, at constant memory over the whole int64 range.
+const (
+	histSubBits = 3
+	histSub     = 1 << histSubBits
+	histBuckets = (64 - histSubBits) * histSub // bucketOf(MaxInt64) is the last
+)
 
-// Histogram is a concurrency-safe latency histogram with power-of-two
-// microsecond buckets — coarse, constant-memory, and cheap to observe
-// into, which is what a per-request metrics path wants.
+// Histogram is a concurrency-safe latency histogram with log-linear
+// microsecond buckets — constant-memory, cheap to observe into, and
+// honest to 12.5% at every quantile, which is what a per-request metrics
+// path wants.
 type Histogram struct {
 	mu     sync.Mutex
 	counts [histBuckets]int64
@@ -47,14 +53,11 @@ type Histogram struct {
 
 // bucketOf maps a microsecond latency to its bucket index.
 func bucketOf(us int64) int {
-	if us < 1 {
-		return 0
+	if us < 2*histSub {
+		return int(max(us, 0))
 	}
-	b := bits.Len64(uint64(us) - 1) // ceil(log2)
-	if b >= histBuckets {
-		b = histBuckets - 1
-	}
-	return b
+	e := bits.Len64(uint64(us)) - 1 // us is in octave [2^e, 2^(e+1))
+	return (e-histSubBits+1)*histSub + int(us>>(e-histSubBits))&(histSub-1)
 }
 
 // Observe records one latency.
@@ -122,10 +125,12 @@ func (h *Histogram) Snapshot() HistogramSnapshot {
 
 // bucketBound is the inclusive upper bound (µs) of bucket i.
 func bucketBound(i int) int64 {
-	if i >= 63 {
-		return math.MaxInt64
+	if i < 2*histSub {
+		return int64(i)
 	}
-	return int64(1) << i
+	shift := i/histSub - 1 // sub-bucket width is 1<<shift
+	lower := int64(histSub+i%histSub) << shift
+	return lower + (int64(1)<<shift - 1)
 }
 
 // quantileBound returns the upper bound of the bucket holding quantile q.

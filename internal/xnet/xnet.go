@@ -451,3 +451,63 @@ func (q *QueueNet) Pending(to int) bool {
 
 // PendingAny reports whether any message exists anywhere in the network.
 func (q *QueueNet) PendingAny() bool { return q.pending > 0 }
+
+// DirectState is a DirectNet's state at a region boundary. Wires are valid
+// within one cycle only, so none is kept.
+type DirectState struct {
+	gen, cycle, transfers int64
+}
+
+// Save returns the network's boundary state.
+func (d *DirectNet) Save() DirectState {
+	return DirectState{gen: d.gen, cycle: d.cycle, transfers: d.Transfers}
+}
+
+// Restore reinstates a saved state. The wires are cleared: a slot left by
+// an earlier run could otherwise carry a generation the restored clock
+// reaches again.
+func (d *DirectNet) Restore(st DirectState) {
+	clear(d.wires)
+	d.gen, d.cycle, d.Transfers = st.gen, st.cycle, st.transfers
+}
+
+// QueueSnapshot is a QueueNet's state at a region boundary: the sequence
+// number, the counters and every queued message. Latencies and capacity
+// come from the machine configuration and are not kept. Its buffer is
+// reused by later saves.
+type QueueSnapshot struct {
+	seq, messages, recvWaits int64
+	// msgs holds the queued messages, each queue's in FIFO order.
+	msgs []message
+}
+
+// Save copies the network's state into sn.
+func (q *QueueNet) Save(sn *QueueSnapshot) {
+	sn.seq, sn.messages, sn.recvWaits = q.seq, q.Messages, q.RecvWaits
+	sn.msgs = sn.msgs[:0]
+	if q.pending == 0 {
+		return
+	}
+	for _, fs := range [][]fifo{q.pairs, q.spawns} {
+		for i := range fs {
+			sn.msgs = append(sn.msgs, fs[i].buf[fs[i].head:]...)
+		}
+	}
+}
+
+// Restore reinstates a snapshot taken on a network of the same topology,
+// after the same reset to defaults Reset performs.
+func (q *QueueNet) Restore(sn *QueueSnapshot) {
+	q.Reset()
+	q.seq, q.Messages, q.RecvWaits = sn.seq, sn.messages, sn.recvWaits
+	n := q.T.Cores()
+	for _, m := range sn.msgs {
+		if m.spawn {
+			q.spawns[m.to].push(m)
+		} else {
+			q.pairs[m.from*n+m.to].push(m)
+		}
+		q.counts[m.from*n+m.to]++
+		q.pending++
+	}
+}

@@ -320,3 +320,76 @@ func TestUnboundedCapacity(t *testing.T) {
 		q.Send(0, 1, 1, 0)
 	}
 }
+
+// TestDirectRestoreClearsWires: a wire driven at a generation the restored
+// clock reaches again must not read as driven.
+func TestDirectRestoreClearsWires(t *testing.T) {
+	d := NewDirectNet(TopologyFor(4))
+	st := d.Save()
+	d.BeginCycle(0)
+	if err := d.Put(0, isa.East, 7); err != nil {
+		t.Fatal(err)
+	}
+	d.Restore(st)
+	d.BeginCycle(0)
+	if _, err := d.Get(1, isa.West); err == nil {
+		t.Error("GET read a wire driven before the restore")
+	}
+	if err := d.Put(0, isa.East, 8); err != nil {
+		t.Errorf("PUT after restore: %v", err)
+	}
+}
+
+// TestQueueSaveRestore restores a network with messages queued on several
+// pairs and spawn queues, some already popped, into a network holding
+// other messages; both must then behave identically.
+func TestQueueSaveRestore(t *testing.T) {
+	top := TopologyFor(4)
+	fill := func(q *QueueNet, base uint64) {
+		for i := uint64(0); i < 3; i++ {
+			q.Send(0, 1, base+i, int64(i))
+			q.Send(2, 1, base+10+i, int64(i))
+			q.SendSpawn(3, 1, base+20+i, int64(i))
+		}
+		q.Recv(1, 0, 100)
+		q.Recv(1, 3, 100) // nothing queued: counts a wait
+	}
+	orig := NewQueueNet(top)
+	fill(orig, 0)
+	var sn QueueSnapshot
+	orig.Save(&sn)
+	other := NewQueueNet(top)
+	fill(other, 1000)
+	other.Send(3, 2, 5, 0)
+	other.Restore(&sn)
+	// A small capacity makes CanSend depend on the restored counts.
+	for _, q := range []*QueueNet{orig, other} {
+		q.Cap = 2
+	}
+	if orig.seq != other.seq || orig.Messages != other.Messages || orig.RecvWaits != other.RecvWaits {
+		t.Errorf("counters: seq %d/%d, messages %d/%d, waits %d/%d", orig.seq, other.seq,
+			orig.Messages, other.Messages, orig.RecvWaits, other.RecvWaits)
+	}
+	for from := 0; from < 4; from++ {
+		if a, b := orig.CanSend(from, 1), other.CanSend(from, 1); a != b {
+			t.Errorf("CanSend(%d, 1) = %v after restore, %v before", from, b, a)
+		}
+	}
+	for i := 0; i < 4; i++ {
+		for _, from := range []int{0, 2} {
+			v1, s1, ok1 := orig.Recv(1, from, 100)
+			v2, s2, ok2 := other.Recv(1, from, 100)
+			if v1 != v2 || s1 != s2 || ok1 != ok2 {
+				t.Errorf("Recv from %d: (%d, %d, %v) after restore, (%d, %d, %v) before", from, v2, s2, ok2, v1, s1, ok1)
+			}
+		}
+		a1, f1, s1, ok1 := orig.RecvSpawn(1, 100)
+		a2, f2, s2, ok2 := other.RecvSpawn(1, 100)
+		if a1 != a2 || f1 != f2 || s1 != s2 || ok1 != ok2 {
+			t.Errorf("RecvSpawn: (%d, %d, %d, %v) after restore, (%d, %d, %d, %v) before", a2, f2, s2, ok2, a1, f1, s1, ok1)
+		}
+	}
+	if orig.PendingAny() || other.PendingAny() {
+		t.Error("messages left after draining both networks")
+	}
+}
