@@ -14,6 +14,7 @@
 package main
 
 import (
+	"context"
 	"flag"
 	"fmt"
 	"io"
@@ -117,17 +118,13 @@ func run(args []string, stdout, stderr io.Writer) error {
 	if err != nil {
 		return err
 	}
-	// simulate compiles and runs one job on a fresh machine; only -j differs
-	// from the service's lowering of the same request.
+	// simulate compiles and runs one job; only -j differs from the
+	// service's lowering of the same request. An untraced job on the
+	// default machine reuses measured selection's end state as its run.
 	simulate := func(req *spec.JobRequest, tr *trace.Tracer) (*core.CompiledProgram, *core.RunResult, error) {
 		opts := req.CompilerOpts()
 		opts.Profile, opts.Workers = pr, *workers
-		cp, err := compiler.Compile(p, opts)
-		if err != nil {
-			return nil, nil, err
-		}
-		res, err := core.New(req.MachineConfig(tr)).Run(cp)
-		return cp, res, err
+		return compiler.CompileRun(context.Background(), p, opts, req.MachineConfig(tr))
 	}
 	baseReq := *req
 	baseReq.Strategy, baseReq.Cores = "serial", 1

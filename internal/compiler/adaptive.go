@@ -1,6 +1,7 @@
 package compiler
 
 import (
+	"context"
 	"fmt"
 	"math"
 
@@ -259,7 +260,7 @@ func Recheck(p *ir.Program, cp *core.CompiledProgram, rep *trace.Report, opts Op
 	out.Selection.Static -= len(suspect)
 	out.Selection.Escalated += len(suspect)
 	out.Selection.Regions = append([]core.RegionSelection(nil), cp.Selection.Regions...)
-	choices, err := measureRegions(opts, out, plans, suspect)
+	choices, _, err := measureRegions(context.Background(), opts, out, plans, suspect, nil)
 	if err != nil {
 		return nil, nil, err
 	}

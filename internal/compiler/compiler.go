@@ -1,6 +1,7 @@
 package compiler
 
 import (
+	"context"
 	"fmt"
 	"runtime"
 
@@ -169,25 +170,50 @@ func resolveThreshold(v, def float64) float64 {
 // in-place IR mutation (the classical cleanup passes) runs exactly once per
 // program under PrepareOnce, and everything after it only reads the IR.
 func Compile(p *ir.Program, opts Options) (*core.CompiledProgram, error) {
+	cp, _, err := compile(context.Background(), p, opts, nil)
+	return cp, err
+}
+
+// CompileRun compiles p like Compile and simulates the result on a machine
+// configured by cfg. Measured selection simulates on
+// core.DefaultConfig(opts.Cores) machines; when it simulated at least one
+// region and cfg.CanResume that configuration, it has already run the
+// selected program region by region, and CompileRun returns that end state
+// instead of simulating the program again. The result is the same either
+// way. Canceling ctx aborts
+// selection and the run with an error wrapping ctx.Err(); the program is
+// returned whenever compilation succeeded.
+func CompileRun(ctx context.Context, p *ir.Program, opts Options, cfg core.Config) (*core.CompiledProgram, *core.RunResult, error) {
+	cp, res, err := compile(ctx, p, opts, &cfg)
+	if err != nil || res != nil {
+		return cp, res, err
+	}
+	res, err = core.New(cfg).RunContext(ctx, cp)
+	return cp, res, err
+}
+
+// compile lowers p. With a final machine configuration it also returns the
+// selected program's run on it, when measured selection can provide one.
+func compile(ctx context.Context, p *ir.Program, opts Options, final *core.Config) (*core.CompiledProgram, *core.RunResult, error) {
 	opts, err := prepare(p, opts, "compile")
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
 	if opts.selects() {
-		return compileSelected(p, opts)
+		return compileSelected(ctx, p, opts, final)
 	}
 	cp := &core.CompiledProgram{Name: p.Name, Cores: opts.Cores, Src: p}
 	for _, r := range p.Regions {
 		cr, err := compileRegion(r, opts)
 		if err != nil {
-			return nil, fmt.Errorf("region %q: %w", r.Name, err)
+			return nil, nil, fmt.Errorf("region %q: %w", r.Name, err)
 		}
 		cp.Regions = append(cp.Regions, cr)
 	}
 	if err := cp.Validate(); err != nil {
-		return nil, err
+		return nil, nil, err
 	}
-	return cp, nil
+	return cp, nil, nil
 }
 
 // prepare resolves opts and readies p for a compile or a classification

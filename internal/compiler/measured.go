@@ -11,22 +11,18 @@ import (
 
 // Measured strategy selection (paper §4.2): each region's candidate
 // lowerings are simulated in the context of the program compiled so far and
-// the candidate with the best region time wins (serial always competes, so
-// a technique is never applied where it hurts). For Hybrid the candidates
-// are every technique with statistical DOALL taken outright as the most
-// efficient parallelism; for the Force* strategies the single technique
-// competes against serial only — the per-technique bars of Figures 10/11.
+// the candidate with the best region time wins. Serial is candidate 0 of
+// every measured region, so a technique is never applied where it hurts.
+// For Hybrid the candidates are every technique with statistical DOALL
+// taken outright as the most efficient parallelism; for the Force*
+// strategies the single technique competes against serial only — the
+// per-technique bars of Figures 10/11.
 //
 // One driver (compileSelected) serves measured, static and auto selection,
 // and Recheck re-measures through the same measureRegions. It is the
 // compiler's hot path, so it is organized for host parallelism while
 // staying bit-identical to the sequential pipeline (Workers=1):
 //
-//   - the serial baseline is simulated at most ONCE per selection pass —
-//     one run of the all-serial lowering, up to the last measured region,
-//     yields every measured region's serial time at once. It runs on the
-//     eval pool's first machine, so a compile builds no other machine,
-//     and not at all when nothing is measured;
 //   - candidate lowerings are generated concurrently per region (pure
 //     reads of the IR; every generator clones before mutating);
 //   - candidate simulations run on up to maxCandidatesPerRegion workers,
@@ -34,23 +30,31 @@ import (
 //     each, with worker w taking candidates w, w+n, … and a barrier per
 //     region so later regions are always measured against the committed
 //     winners of earlier ones;
-//   - a candidate run simulates only its own region: it resumes from a
-//     checkpoint of the machine at the boundary before the region, taken
-//     after the committed regions, and stops after the region, since
-//     later regions cannot change its time. A winning candidate's end
-//     state becomes the next checkpoint; the regions no candidate run
-//     covered (unmeasured gaps, serial winners) are simulated once to
-//     advance it. If that advance fails, every later candidate scores -1,
-//     exactly as a run through the failing region would. Compared with a
-//     full run, stopping early changes the outcome only for a candidate
-//     whose region would make a *later* region fail: it can win instead
-//     of scoring -1. Such a candidate is a miscompile, and the
-//     compile-vs-interpreter differentials exclude it;
+//   - a candidate run, serial's included, simulates only its own region:
+//     it resumes from a checkpoint of the machine at the boundary before
+//     the region, taken after the committed regions, and stops after the
+//     region, since later regions cannot change its time. The winner's end
+//     state becomes the next checkpoint; the unmeasured regions between
+//     measured ones are simulated once to advance it. Once a region cannot
+//     be passed — every candidate failed, or an advance failed — every
+//     later candidate scores -1, exactly as a run through the failing
+//     region would. Compared with a full run, stopping early changes the
+//     outcome only for a candidate whose region would make a *later*
+//     region fail: it can win instead of scoring -1. Such a candidate is a
+//     miscompile, and the compile-vs-interpreter differentials exclude it;
 //   - the winner is chosen by fixed candidate order, never completion
-//     order, so the selected program does not depend on scheduling.
+//     order, so ties go to serial and the selected program does not depend
+//     on scheduling;
+//   - the eval machines are default machines that keep full stats, so
+//     resuming the last committed checkpoint through the regions after the
+//     last measured one yields the selected program's complete run.
+//     CompileRun returns that end state instead of simulating the program
+//     again.
 
 // maxCandidatesPerRegion bounds the simulations one region's barrier can
-// overlap (coupled ILP and fine-grain TLP; DOALL is taken without a race).
+// overlap, and so the machines one compile builds. A region has at most
+// three candidates (serial, coupled ILP and fine-grain TLP; DOALL is taken
+// without a race), so with two workers the third runs after the first.
 const maxCandidatesPerRegion = 2
 
 // regionCandidate is one measurable lowering with the metadata selection
@@ -65,8 +69,8 @@ type regionCandidate struct {
 // regionPlan is the precomputed selection work for one region.
 type regionPlan struct {
 	small bool
-	// serial is the always-competing baseline lowering; serialEst is its
-	// static estimate.
+	// serial is the always-competing lowering, candidate 0 of every
+	// measured region; serialEst is its static estimate.
 	serial    *core.CompiledRegion
 	serialEst float64
 	// doall is the statistical-DOALL lowering, taken outright (Hybrid).
@@ -100,10 +104,13 @@ func (pl *regionPlan) lowering(c Choice) *core.CompiledRegion {
 // none. Regions awaiting measurement are serial until measured. Installing
 // later picks before measuring is safe: a candidate run stops after its
 // region, so later regions cannot change its time.
-func compileSelected(p *ir.Program, opts Options) (*core.CompiledProgram, error) {
+//
+// With a final configuration it also returns the selected program's run
+// on it, when measureRegions can provide one (see CompileRun).
+func compileSelected(ctx context.Context, p *ir.Program, opts Options, final *core.Config) (*core.CompiledProgram, *core.RunResult, error) {
 	plans, err := planRegions(p, opts)
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
 	cp := &core.CompiledProgram{
 		Name: p.Name, Cores: opts.Cores, Src: p,
@@ -136,74 +143,80 @@ func compileSelected(p *ir.Program, opts Options) (*core.CompiledProgram, error)
 	default:
 		sel.Mode, sel.Static = SelectStatic.String(), len(plans)
 	}
-	choices, err := measureRegions(opts, cp, plans, idx)
+	choices, res, err := measureRegions(ctx, opts, cp, plans, idx, final)
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
 	for k, i := range idx {
 		sel.Regions[i].Choice = choices[k].String()
 	}
 	if err := cp.Validate(); err != nil {
-		return nil, err
+		return nil, nil, err
 	}
-	return cp, nil
+	return cp, res, nil
 }
 
 // measureRegions measures the listed regions of cp in ascending order, each
 // against the background of cp's committed picks and the winners of the
 // regions before it, installs each winner into cp and returns the choices.
-// It is the only place selection simulates. The all-serial baseline runs
-// once, on the eval pool's first machine, and yields every measured
-// region's serial time. A failed baseline is a hard error: without serial
-// times no candidate could be compared against serial. Nothing is
-// simulated when the list is empty.
-func measureRegions(opts Options, cp *core.CompiledProgram, plans []*regionPlan, idx []int) ([]Choice, error) {
+// It is the only place selection simulates, and nothing is simulated when
+// the list is empty. Canceling ctx aborts it with an error wrapping
+// ctx.Err().
+//
+// When final is non-nil and a machine configured by it can resume the eval
+// machines' checkpoints, it also returns the selected program's run on
+// such a machine: the committed checkpoint, resumed through the regions
+// after the last measured one. The result is nil when the committed state
+// or that resume failed; a fresh run then reports why.
+func measureRegions(ctx context.Context, opts Options, cp *core.CompiledProgram, plans []*regionPlan, idx []int, final *core.Config) ([]Choice, *core.RunResult, error) {
 	if len(idx) == 0 {
-		return nil, nil
+		return nil, nil, nil
 	}
 	pool := newEvalPool(opts, cp)
-	// Later regions cannot change earlier region times.
-	last := idx[len(idx)-1]
-	base := &core.CompiledProgram{
-		Name: cp.Name, Cores: cp.Cores, Src: cp.Src,
-		Regions: make([]*core.CompiledRegion, last+1),
-	}
-	for i := range base.Regions {
-		base.Regions[i] = plans[i].serial
-	}
-	baseline, err := pool.workers[0].machine.Run(base)
-	if err != nil {
-		return nil, fmt.Errorf("%s: serial baseline: %w", cp.Name, err)
-	}
+	defer pool.release()
 	choices := make([]Choice, len(idx))
 	for k, i := range idx {
-		choices[k] = measureRegion(pool, baseline.RegionCycles[i], cp, i, plans[i])
+		choices[k] = measureRegion(ctx, pool, cp, i, plans[i])
+		if err := ctx.Err(); err != nil {
+			return nil, nil, fmt.Errorf("%s: measured selection: %w", cp.Name, err)
+		}
 	}
-	pool.release()
-	return choices, nil
+	if final == nil || !final.CanResume(pool.cfg) || pool.failed {
+		return choices, nil, nil
+	}
+	m := pool.workers[0].machine
+	m.Reset(*final)
+	// A failed resume returns no result; the caller's fresh run reports why.
+	res, _ := m.ResumeContext(ctx, pool.committed, cp)
+	return choices, res, nil
 }
 
-// measureRegion simulates one region's candidates against the committed
-// background, installs the winner into cp, and returns its choice. A
-// candidate must strictly beat the best so far in fixed candidate order, so
-// ties keep the earlier entry (serial first) — exactly the sequential
-// pipeline's tie-breaking. serialCycles is the region's time in the
-// all-serial baseline.
-func measureRegion(pool *evalPool, serialCycles int64, cp *core.CompiledProgram, i int, pl *regionPlan) Choice {
-	crs := make([]*core.CompiledRegion, len(pl.candidates))
-	for k := range pl.candidates {
-		crs[k] = pl.candidates[k].cr
+// measureRegion simulates one region's candidates, serial first, against
+// the committed background, installs the winner into cp, and returns its
+// choice. A candidate must strictly beat the best so far in fixed candidate
+// order, so ties keep the earlier entry (serial first) — exactly the
+// sequential pipeline's tie-breaking. When every candidate fails, serial is
+// installed.
+func measureRegion(ctx context.Context, pool *evalPool, cp *core.CompiledProgram, i int, pl *regionPlan) Choice {
+	crs := make([]*core.CompiledRegion, 1, 1+len(pl.candidates))
+	crs[0] = pl.serial
+	for _, cand := range pl.candidates {
+		crs = append(crs, cand.cr)
 	}
-	cycles := pool.measure(i, crs, serialCycles)
-	best, bestCycles, bestChoice, winner := pl.serial, serialCycles, ChoseSingle, -1
-	for k, cand := range pl.candidates {
-		if cycles[k] >= 0 && cycles[k] < bestCycles {
-			best, bestCycles, bestChoice, winner = cand.cr, cycles[k], cand.choice, k
+	cycles := pool.measure(ctx, i, crs)
+	winner := -1
+	for k, c := range cycles {
+		if c >= 0 && (winner < 0 || c < cycles[winner]) {
+			winner = k
 		}
+	}
+	best, choice := pl.serial, ChoseSingle
+	if winner > 0 {
+		best, choice = crs[winner], pl.candidates[winner-1].choice
 	}
 	cp.Regions[i] = best
 	pool.commit(i, best, winner)
-	return bestChoice
+	return choice
 }
 
 // planRegions generates every region's candidate lowerings concurrently
@@ -233,9 +246,9 @@ func planRegions(p *ir.Program, opts Options) ([]*regionPlan, error) {
 	return plans, nil
 }
 
-// planRegion computes one region's selection plan: the serial baseline
-// lowering, the outright DOALL take (Hybrid), and the measurable candidates
-// with their static estimates.
+// planRegion computes one region's selection plan: the serial lowering,
+// the outright DOALL take (Hybrid), and the measurable candidates with
+// their static estimates.
 func planRegion(r *ir.Region, opts Options) *regionPlan {
 	pl := &regionPlan{}
 	serial, err := genSerial(r, opts.Cores)
@@ -280,16 +293,17 @@ func planRegion(r *ir.Region, opts Options) *regionPlan {
 // Machine and one clone of the background program, kept in sync with the
 // winners committed so far.
 type evalPool struct {
+	// cfg configures every worker's machine.
+	cfg     core.Config
 	workers []*evalWorker
 	// committed is the machine state after the first at regions of the
 	// background (nil while at is 0: candidate runs start from scratch).
-	// failed records that advancing it through a committed region failed.
+	// failed records that a committed region could not be passed.
 	committed *core.Checkpoint
 	at        int
 	failed    bool
-	// ends[k] receives candidate k's end state when it could win. A
-	// winner's buffer trades places with committed, so no two runs ever
-	// share one.
+	// ends[k] receives candidate k's end state. A winner's buffer trades
+	// places with committed, so no two runs ever share one.
 	ends []*core.Checkpoint
 }
 
@@ -300,13 +314,10 @@ type evalWorker struct {
 
 func newEvalPool(opts Options, cp *core.CompiledProgram) *evalPool {
 	n := min(max(opts.Workers, 1), maxCandidatesPerRegion)
-	// Measurement machines are throwaways whose stats nobody reads.
-	evalCfg := core.DefaultConfig(cp.Cores)
-	evalCfg.NoStats = true
-	pool := &evalPool{workers: make([]*evalWorker, n)}
+	pool := &evalPool{cfg: core.DefaultConfig(cp.Cores), workers: make([]*evalWorker, n)}
 	for w := range pool.workers {
 		pool.workers[w] = &evalWorker{
-			machine: core.New(evalCfg),
+			machine: core.New(pool.cfg),
 			bg: &core.CompiledProgram{
 				Name: cp.Name, Cores: cp.Cores, Src: cp.Src,
 				Regions: append([]*core.CompiledRegion(nil), cp.Regions...),
@@ -317,16 +328,15 @@ func newEvalPool(opts Options, cp *core.CompiledProgram) *evalPool {
 }
 
 // measure simulates one region's candidates and returns their region times
-// in candidate order (-1 marks a failed simulation). bound is the time a
-// candidate must beat to win (the region's serial time); only such a
-// candidate's end state is saved. Worker w runs candidates w, w+n, … in
-// order; the fixed assignment is safe because a result depends only on the
-// committed checkpoint and the candidate, and a reused machine runs exactly
-// like a fresh one. It returns only after every candidate finished — the
-// per-region barrier.
-func (p *evalPool) measure(region int, cands []*core.CompiledRegion, bound int64) []int64 {
+// in candidate order (-1 marks a failed simulation); each successful run's
+// end state is saved into ends, ready to be committed. Worker w runs
+// candidates w, w+n, … in order; the fixed assignment is safe because a
+// result depends only on the committed checkpoint and the candidate, and a
+// reused machine runs exactly like a fresh one. It returns only after every
+// candidate finished — the per-region barrier.
+func (p *evalPool) measure(ctx context.Context, region int, cands []*core.CompiledRegion) []int64 {
 	cycles := make([]int64, len(cands))
-	if !p.advance(region) {
+	if !p.advance(ctx, region) {
 		for k := range cycles {
 			cycles[k] = -1
 		}
@@ -346,7 +356,7 @@ func (p *evalPool) measure(region int, cands []*core.CompiledRegion, bound int64
 		go func() {
 			defer wg.Done()
 			for k := w; k < len(cands); k += len(p.workers) {
-				cycles[k] = ew.run(p.committed, region, cands[k], bound, p.ends[k])
+				cycles[k] = ew.run(ctx, p.committed, region, cands[k], p.ends[k])
 			}
 		}()
 	}
@@ -355,16 +365,16 @@ func (p *evalPool) measure(region int, cands []*core.CompiledRegion, bound int64
 }
 
 // advance moves the committed checkpoint forward to the boundary before
-// region, simulating the committed regions no candidate run covered: gaps
-// of regions that are not measured, and serial winners. It reports false
-// once an advance has failed; every later candidate then scores -1, as a
-// run through the failing region would.
-func (p *evalPool) advance(region int) bool {
+// region, simulating the committed regions no candidate run covered: the
+// regions that are not measured. It reports false once a committed region
+// could not be passed; every later candidate then scores -1, as a run
+// through the failing region would.
+func (p *evalPool) advance(ctx context.Context, region int) bool {
 	if p.failed || p.at == region {
 		return !p.failed
 	}
 	ew := p.workers[0]
-	_, err := ew.runTo(p.committed, region)
+	_, err := ew.runTo(ctx, p.committed, region)
 	if err == nil {
 		if p.committed == nil {
 			p.committed = checkpoints.Get().(*core.Checkpoint)
@@ -376,50 +386,46 @@ func (p *evalPool) advance(region int) bool {
 }
 
 // run simulates cand as the region'th region of the worker's background,
-// resuming from ck, and returns its region time, or -1 when the run fails
-// or, when it could win, cannot be checkpointed (a misbehaving candidate
-// never wins). Regions after the measured one
-// cannot change its time, so the run stops after it. A time below bound
-// saves the end state into end, ready to be committed.
-func (ew *evalWorker) run(ck *core.Checkpoint, region int, cand *core.CompiledRegion, bound int64, end *core.Checkpoint) int64 {
+// resuming from ck, saves the end state into end and returns the region
+// time, or -1 when the run fails or cannot be checkpointed (a misbehaving
+// candidate never wins). Regions after the measured one cannot change its
+// time, so the run stops after it.
+func (ew *evalWorker) run(ctx context.Context, ck *core.Checkpoint, region int, cand *core.CompiledRegion, end *core.Checkpoint) int64 {
 	ew.bg.Regions[region] = cand
-	res, err := ew.runTo(ck, region+1)
-	if err != nil {
+	res, err := ew.runTo(ctx, ck, region+1)
+	if err != nil || ew.machine.Save(end) != nil {
 		return -1
 	}
-	cycles := res.RegionCycles[region]
-	if cycles < bound && ew.machine.Save(end) != nil {
-		return -1
-	}
-	return cycles
+	return res.RegionCycles[region]
 }
 
 // runTo simulates the background's first n regions, from the start when ck
 // is nil and from ck otherwise.
-func (ew *evalWorker) runTo(ck *core.Checkpoint, n int) (*core.RunResult, error) {
+func (ew *evalWorker) runTo(ctx context.Context, ck *core.Checkpoint, n int) (*core.RunResult, error) {
 	prefix := *ew.bg
 	prefix.Regions = ew.bg.Regions[:n]
 	if ck == nil {
-		return ew.machine.Run(&prefix)
+		return ew.machine.RunContext(ctx, &prefix)
 	}
-	return ew.machine.ResumeContext(context.Background(), ck, &prefix)
+	return ew.machine.ResumeContext(ctx, ck, &prefix)
 }
 
 // commit installs a region's winning lowering into every worker's
 // background program, so later regions are measured against the winners of
-// earlier ones — the same context the sequential pipeline used. When
-// candidate k won, its end state becomes the committed checkpoint; after a
-// serial win (k < 0) the checkpoint stays put and the next advance
-// simulates the region. Callers only commit between barriers, when every
-// worker is idle.
+// earlier ones — the same context the sequential pipeline used — and makes
+// candidate k's end state the committed checkpoint. k < 0 means no
+// candidate passed the region, so neither can the committed state. Callers
+// only commit between barriers, when every worker is idle.
 func (p *evalPool) commit(region int, cr *core.CompiledRegion, k int) {
 	for _, w := range p.workers {
 		w.bg.Regions[region] = cr
 	}
-	if k >= 0 {
-		p.committed, p.ends[k] = p.ends[k], p.committed
-		p.at = region + 1
+	if k < 0 {
+		p.failed = true
+		return
 	}
+	p.committed, p.ends[k] = p.ends[k], p.committed
+	p.at = region + 1
 }
 
 // checkpoints recycles checkpoint buffers across compiles: a checkpoint

@@ -2,8 +2,12 @@ package compiler
 
 import (
 	"bytes"
+	"context"
+	"errors"
 	"reflect"
+	"sync/atomic"
 	"testing"
+	"time"
 
 	"voltron/internal/core"
 	"voltron/internal/ir"
@@ -148,7 +152,7 @@ func BenchmarkMeasuredSelection(b *testing.B) {
 // TestPrefixRunMatchesFullRun pins checkpointed candidate runs: for every
 // region measured selection simulates — the suite under ilp, ftlp and
 // hybrid at 2, 4, 16 and 64 cores — each candidate's time from the eval
-// pool, resumed from the committed region-boundary checkpoint, must equal
+// pool, serial's included, resumed from the committed region-boundary checkpoint, must equal
 // the region's time in a full-program run of the same background. The
 // failed-gap case commits a region that fails to simulate ahead of
 // measured ones: every later candidate must score -1, as a full run does.
@@ -205,9 +209,8 @@ func TestPrefixRunMatchesFullRun(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		// Commit a deadlocking region in place of region 0, ahead of the
-		// measured ones. Its serial lowering still runs, so the baseline
-		// succeeds.
+		// Install a deadlocking region in place of region 0, ahead of the
+		// measured ones.
 		measuredAfter := false
 		for _, pl := range plans[1:] {
 			measuredAfter = measuredAfter || !pl.small && len(pl.candidates) > 0
@@ -245,37 +248,30 @@ type replay struct {
 
 // checkPrefixRuns replays compileSelected's measured mode (SelectMeasured is
 // the zero mode) region by region over plans, comparing every candidate's
-// time from the eval pool against a full run.
+// time from the eval pool, serial's included, against a full run.
 func checkPrefixRuns(t *testing.T, p *ir.Program, opts Options, plans []*regionPlan) replay {
 	t.Helper()
 	cp := &core.CompiledProgram{Name: p.Name, Cores: opts.Cores, Src: p,
 		Regions: make([]*core.CompiledRegion, len(plans))}
+	// As in compileSelected, DOALL picks are installed before the pool is
+	// built and every other region starts serial.
 	for i, pl := range plans {
-		cp.Regions[i] = pl.serial
+		cp.Regions[i] = pl.lowering(ChoseLLP)
 	}
+	ctx := context.Background()
 	pool := newEvalPool(opts, cp)
-	baseline, err := pool.workers[0].machine.Run(cp)
-	if err != nil {
-		t.Fatal(err)
-	}
-	cfg := core.DefaultConfig(opts.Cores)
-	cfg.NoStats = true
-	full := core.New(cfg)
+	defer pool.release()
+	full := core.New(core.DefaultConfig(opts.Cores))
 	var out replay
 	for i, pl := range plans {
-		if pl.small {
+		if pl.small || pl.doall != nil || len(pl.candidates) == 0 {
 			continue
 		}
-		if pl.doall != nil {
-			cp.Regions[i] = pl.doall
-			pool.commit(i, pl.doall, -1)
-			continue
+		crs := []*core.CompiledRegion{pl.serial}
+		for _, cand := range pl.candidates {
+			crs = append(crs, cand.cr)
 		}
-		crs := make([]*core.CompiledRegion, len(pl.candidates))
-		for k := range pl.candidates {
-			crs[k] = pl.candidates[k].cr
-		}
-		got := pool.measure(i, crs, baseline.RegionCycles[i])
+		got := pool.measure(ctx, i, crs)
 		for k, cand := range crs {
 			bg := *cp
 			bg.Regions = append([]*core.CompiledRegion(nil), cp.Regions...)
@@ -285,8 +281,12 @@ func checkPrefixRuns(t *testing.T, p *ir.Program, opts Options, plans []*regionP
 				want = res.RegionCycles[i]
 			}
 			if got[k] != want {
+				choice := ChoseSingle
+				if k > 0 {
+					choice = pl.candidates[k-1].choice
+				}
 				t.Errorf("%v/%d region %d candidate %v: resumed run %d cycles, full run %d",
-					opts.Strategy, opts.Cores, i, pl.candidates[k].choice, got[k], want)
+					opts.Strategy, opts.Cores, i, choice, got[k], want)
 			}
 			if got[k] < 0 {
 				out.failed++
@@ -294,8 +294,51 @@ func checkPrefixRuns(t *testing.T, p *ir.Program, opts Options, plans []*regionP
 				out.ok++
 			}
 		}
-		measureRegion(pool, baseline.RegionCycles[i], cp, i, pl)
+		measureRegion(ctx, pool, cp, i, pl)
 	}
 	out.regions = cp.Regions
 	return out
+}
+
+// TestMeasuredSelectionCancel cancels a 64-core hybrid compile from inside
+// a candidate run of measured selection: CompileRun must return an error
+// wrapping context.Canceled, and the simulations must stop within a few
+// cancellation polls of it. The program has one measured region, so only
+// the simulations themselves poll before that region's end.
+func TestMeasuredSelectionCancel(t *testing.T) {
+	p := progCarried(1 << 14)
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	const after = 3
+	pc := &pollCanceler{Context: ctx, cancel: cancel, after: after}
+	start := time.Now()
+	_, _, err := CompileRun(pc, p, Options{Cores: 64, Strategy: Hybrid}, core.DefaultConfig(64))
+	elapsed := time.Since(start)
+	if !errors.Is(err, context.Canceled) {
+		t.Fatalf("canceled compile returned %v, want an error wrapping context.Canceled", err)
+	}
+	polls := pc.polls.Load()
+	t.Logf("returned after %v, %d polls after the cancellation", elapsed, polls-after)
+	if polls < after {
+		t.Fatalf("selection polled %d times, cancellation never fired", polls)
+	}
+	if polls > after+8 || elapsed > 10*time.Second {
+		t.Errorf("canceled compile took %v and %d more polls to return", elapsed, polls-after)
+	}
+}
+
+// pollCanceler cancels its context on the after'th poll of Err, so a test
+// can cancel from inside a simulation.
+type pollCanceler struct {
+	context.Context
+	cancel func()
+	after  int64
+	polls  atomic.Int64
+}
+
+func (c *pollCanceler) Err() error {
+	if c.polls.Add(1) == c.after {
+		c.cancel()
+	}
+	return c.Context.Err()
 }

@@ -58,10 +58,6 @@ type Config struct {
 	// assert it); the reference stepper exists as that test's oracle and
 	// as a debugging fallback.
 	Reference bool
-	// NoStats skips the per-cycle stall/occupancy accounting. Used for
-	// throwaway runs whose caller only reads cycle counts (measured
-	// strategy selection); RunResult cycle fields stay exact.
-	NoStats bool
 }
 
 // DefaultConfig returns the paper's machine parameters for n cores.
@@ -222,13 +218,10 @@ type runState struct {
 	run    *stats.Run
 	cores  []*coreState
 	now    int64
-	// statsOn gates the per-cycle stall accounting (cleared by
-	// Config.NoStats); tr is the structured event collector (nil = tracing
-	// off, one branch per emit site); ref selects the naive per-cycle
-	// stepper.
-	statsOn bool
-	tr      *trace.Tracer
-	ref     bool
+	// tr is the structured event collector (nil = tracing off, one branch
+	// per emit site); ref selects the naive per-cycle stepper.
+	tr  *trace.Tracer
+	ref bool
 	// sched points at the machine's wake scheduler while the event-driven
 	// decoupled loop runs a region; nil otherwise. The notify hooks and
 	// counter updates inside the shared step/exec code key off it with a
@@ -327,6 +320,14 @@ func (cfg Config) shape() Config {
 	return cfg
 }
 
+// CanResume reports whether a machine configured by cfg can resume the
+// checkpoints of one configured by from: the two differ at most in the
+// stepper choice, and cfg has no tracer (a resumed timeline would start
+// mid-run).
+func (cfg Config) CanResume(from Config) bool {
+	return cfg.Tracer == nil && cfg.shape() == from.shape()
+}
+
 // Save records the state the machine's last run ended in into ck. Call it
 // before the next run on the machine and before changing the last run's
 // result. It fails when the last run did not complete or left a
@@ -398,7 +399,6 @@ func (m *Machine) run(ctx context.Context, ck *Checkpoint, cp *CompiledProgram) 
 		queue:    m.queue,
 		run:      stats.NewRun(m.cfg.Cores),
 		cores:    cores,
-		statsOn:  !m.cfg.NoStats,
 		tr:       m.cfg.Tracer,
 		ref:      m.cfg.Reference,
 		prevMode: Mode(-1),
@@ -465,10 +465,8 @@ func (m *Machine) run(ctx context.Context, ck *Checkpoint, cp *CompiledProgram) 
 }
 
 func (rs *runState) chargeAll(k stats.Kind, n int64) {
-	if rs.statsOn {
-		for i := range rs.run.Cores {
-			rs.run.Cores[i].Add(k, n)
-		}
+	for i := range rs.run.Cores {
+		rs.run.Cores[i].Add(k, n)
 	}
 	if rs.tr != nil {
 		for i := range rs.run.Cores {
@@ -478,9 +476,7 @@ func (rs *runState) chargeAll(k stats.Kind, n int64) {
 }
 
 func (rs *runState) charge(core int, k stats.Kind) {
-	if rs.statsOn {
-		rs.run.Cores[core].Add(k, 1)
-	}
+	rs.run.Cores[core].Add(k, 1)
 	if rs.tr != nil {
 		rs.tr.Charge(rs.now, core, k, 1)
 	}
@@ -494,9 +490,7 @@ func (rs *runState) chargeSpan(core int, k stats.Kind, from, to int64) {
 	if to <= from {
 		return
 	}
-	if rs.statsOn {
-		rs.run.Cores[core].Add(k, to-from)
-	}
+	rs.run.Cores[core].Add(k, to-from)
 	if rs.tr != nil {
 		rs.tr.Charge(from, core, k, to-from)
 	}

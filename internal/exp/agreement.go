@@ -189,11 +189,11 @@ func (s *Suite) agreeProgram(name string, build func() (*ir.Program, *prof.Profi
 	if err != nil {
 		return nil, fmt.Errorf("%s: serial: %w", name, err)
 	}
-	ares, err := runQuiet(acp)
+	ares, err := core.New(core.DefaultConfig(acp.Cores)).Run(acp)
 	if err != nil {
 		return nil, fmt.Errorf("%s: auto run: %w", name, err)
 	}
-	sres, err := runQuiet(scp)
+	sres, err := core.New(core.DefaultConfig(scp.Cores)).Run(scp)
 	if err != nil {
 		return nil, fmt.Errorf("%s: serial run: %w", name, err)
 	}
@@ -217,14 +217,6 @@ func (s *Suite) agreeProgram(name string, build func() (*ir.Program, *prof.Profi
 		rows[i] = row
 	}
 	return rows, nil
-}
-
-// runQuiet simulates a compiled program without stall accounting (the
-// agreement check only reads region cycle counts).
-func runQuiet(cp *core.CompiledProgram) (*core.RunResult, error) {
-	cfg := core.DefaultConfig(cp.Cores)
-	cfg.NoStats = true
-	return core.New(cfg).Run(cp)
 }
 
 // Print renders the report: aggregates first, then only the interesting

@@ -6,6 +6,7 @@
 package exp
 
 import (
+	"context"
 	"encoding/json"
 	"fmt"
 	"io"
@@ -245,17 +246,14 @@ func (s *Suite) Run(bench string, strat compiler.Strategy, cores int) (*core.Run
 		}
 		// Compile and simulate under the bounded pool. The slot is taken
 		// only here — never while waiting on another flight — so nested
-		// cache fills cannot deadlock the pool.
+		// cache fills cannot deadlock the pool. A compile that measured a
+		// region hands back its selection's end state as the run.
 		s.acquire()
 		defer s.release()
-		cp, err := compiler.Compile(p, compiler.Options{
+		_, res, err := compiler.CompileRun(context.Background(), p, compiler.Options{
 			Cores: cores, Strategy: strat, Profile: pr, Workers: s.workers(),
 			Selection: s.Select, SelectThreshold: s.SelectThreshold,
-		})
-		if err != nil {
-			return nil, fmt.Errorf("%s/%v/%d: %w", bench, strat, cores, err)
-		}
-		res, err := core.New(core.DefaultConfig(cores)).Run(cp)
+		}, core.DefaultConfig(cores))
 		if err != nil {
 			return nil, fmt.Errorf("%s/%v/%d: %w", bench, strat, cores, err)
 		}

@@ -1,6 +1,7 @@
 package exp
 
 import (
+	"context"
 	"sync"
 
 	"voltron/internal/compiler"
@@ -171,11 +172,9 @@ func Fig7to9() ([]KernelResult, error) {
 
 // runProgram compiles and simulates an ad-hoc program.
 func runProgram(p *ir.Program, strat compiler.Strategy, cores int) (*core.RunResult, error) {
-	cp, err := compiler.Compile(p, compiler.Options{Cores: cores, Strategy: strat})
-	if err != nil {
-		return nil, err
-	}
-	return core.New(core.DefaultConfig(cores)).Run(cp)
+	_, res, err := compiler.CompileRun(context.Background(), p,
+		compiler.Options{Cores: cores, Strategy: strat}, core.DefaultConfig(cores))
+	return res, err
 }
 
 // runProgramC simulates an already compiled program (test helper).
