@@ -11,8 +11,6 @@
 //	voltron-bench -j 1            # force sequential evaluation
 //	voltron-bench -select auto    # tiered strategy selection for every compile
 //	voltron-bench -agreement      # classifier-vs-measured selection agreement
-//	voltron-bench -compare-select # time figure regeneration, measured vs auto
-//	voltron-bench -evalout BENCH_eval.json   # record wall-clock per figure
 //	voltron-bench -cpuprofile cpu.pprof      # profile the run (go tool pprof)
 //	voltron-bench -memprofile mem.pprof      # heap profile at exit
 package main
@@ -27,31 +25,10 @@ import (
 	"runtime"
 	"runtime/debug"
 	"runtime/pprof"
-	"time"
 
-	"voltron/internal/compiler"
 	"voltron/internal/exp"
 	"voltron/internal/spec"
 )
-
-// evalTiming is one figure's wall-clock measurement for -evalout.
-type evalTiming struct {
-	Figure  string  `json:"figure"`
-	Seconds float64 `json:"seconds"`
-}
-
-// selectCompare is the -compare-select measurement recorded to -evalout:
-// the same full figure regeneration timed cold under measured and under
-// auto selection, with the agreement evaluation alongside.
-type selectCompare struct {
-	MeasuredSeconds float64 `json:"measured_seconds"`
-	AutoSeconds     float64 `json:"auto_seconds"`
-	Speedup         float64 `json:"speedup"`
-	AutoAgreement   float64 `json:"auto_agreement"`
-	StaticAgreement float64 `json:"static_agreement"`
-	Escalated       int     `json:"escalated"`
-	Hurts           int     `json:"hurts"`
-}
 
 func main() {
 	if err := run(os.Args[1:], os.Stdout, os.Stderr); err != nil {
@@ -75,8 +52,6 @@ func run(args []string, stdout, stderr io.Writer) error {
 	agreeRand := fs.Int("agreerand", 8, "random programs added to the agreement evaluation")
 	agreeMin := fs.Float64("agreemin", 0, "fail unless auto agreement reaches this fraction with zero never-hurts violations (0 = report only)")
 	agreeOut := fs.String("agreeout", "", "write the agreement report JSON to this file")
-	compareSelect := fs.Bool("compare-select", false, "time cold figure regeneration under measured vs auto selection")
-	evalOut := fs.String("evalout", "", "write per-figure wall-clock timings to this JSON file")
 	cpuProfile := fs.String("cpuprofile", "", "write a CPU profile to this file")
 	memProfile := fs.String("memprofile", "", "write a heap profile to this file at exit")
 	if err := fs.Parse(args); err != nil {
@@ -119,6 +94,9 @@ func run(args []string, stdout, stderr io.Writer) error {
 	if !ok {
 		return fmt.Errorf("unknown selection mode %q", *selectMode)
 	}
+	if err := spec.ValidateSelectThreshold(*selectTh); err != nil {
+		return err
+	}
 	s := exp.NewSuite()
 	if *bench != "" {
 		s.Benchmarks = []string{*bench}
@@ -131,22 +109,6 @@ func run(args []string, stdout, stderr io.Writer) error {
 	}
 	s.Select = sel
 	s.SelectThreshold = *selectTh
-	emit := func(t *exp.Table) error {
-		if *jsonOut {
-			return t.WriteJSON(stdout)
-		}
-		t.Print(stdout)
-		return nil
-	}
-	var timings []evalTiming
-	timed := func(name string, f func() error) error {
-		start := time.Now()
-		if err := f(); err != nil {
-			return err
-		}
-		timings = append(timings, evalTiming{Figure: name, Seconds: time.Since(start).Seconds()})
-		return nil
-	}
 	if *agreement {
 		rep, err := s.SelectionAgreement(*agreeRand)
 		if err != nil {
@@ -165,28 +127,23 @@ func run(args []string, stdout, stderr io.Writer) error {
 		return checkAgreement(rep, *agreeMin)
 	}
 	if *scaling {
-		if err := timed("scaling", func() error {
-			speedup, err := s.Scaling()
-			if err != nil {
-				return err
-			}
-			stalls, err := s.ScalingStalls()
-			if err != nil {
-				return err
-			}
-			if *jsonOut {
-				// One combined document, so the CI artifact is a single
-				// machine-readable figure.
-				return writeScalingJSON(stdout, speedup, stalls)
-			}
-			speedup.Print(stdout)
-			fmt.Fprintln(stdout)
-			stalls.Print(stdout)
-			return nil
-		}); err != nil {
+		speedup, err := s.Scaling()
+		if err != nil {
 			return err
 		}
-		return writeEval(*evalOut, s.Workers, timings, nil)
+		stalls, err := s.ScalingStalls()
+		if err != nil {
+			return err
+		}
+		if *jsonOut {
+			// One combined document, so the CI artifact is a single
+			// machine-readable figure.
+			return writeScalingJSON(stdout, speedup, stalls)
+		}
+		speedup.Print(stdout)
+		fmt.Fprintln(stdout)
+		stalls.Print(stdout)
+		return nil
 	}
 	figs := []int{3, 7, 10, 11, 12, 13, 14}
 	if *smoke {
@@ -195,105 +152,33 @@ func run(args []string, stdout, stderr io.Writer) error {
 	if *fig != 0 {
 		figs = []int{*fig}
 	}
-	var cmp *selectCompare
-	if *compareSelect {
-		c, rep, err := compareSelection(s, figs, *workers, *agreeRand, *selectTh)
-		if err != nil {
-			return err
-		}
-		cmp = c
-		fmt.Fprintf(stdout, "cold figure regeneration: measured %.1fs, auto %.1fs (%.2fx)\n",
-			cmp.MeasuredSeconds, cmp.AutoSeconds, cmp.Speedup)
-		fmt.Fprintf(stdout, "selection agreement: auto %.1f%% (static %.1f%%), escalated %d, hurts %d\n\n",
-			100*cmp.AutoAgreement, 100*cmp.StaticAgreement, cmp.Escalated, cmp.Hurts)
-		if err := writeAgreement(*agreeOut, rep); err != nil {
-			return err
-		}
-		if err := checkAgreement(rep, *agreeMin); err != nil {
-			return err
-		}
-	}
 	for _, f := range figs {
 		if f >= 7 && f <= 9 {
-			if err := timed("fig7-9", func() error {
-				res, err := exp.Fig7to9()
-				if err != nil {
-					return err
-				}
-				fmt.Fprintln(stdout, "Figures 7-9: kernel speedups on 2 cores (paper vs measured)")
-				for _, r := range res {
-					fmt.Fprintf(stdout, "  %-22s paper %.2fx   measured %.2fx\n", r.Name, r.PaperSpeedup, r.Measured2Core)
-				}
-				fmt.Fprintln(stdout)
-				return nil
-			}); err != nil {
-				return err
-			}
-			continue
-		}
-		f := f
-		if err := timed(fmt.Sprintf("fig%d", f), func() error {
-			t, err := s.Figure(f)
+			res, err := exp.Fig7to9()
 			if err != nil {
 				return err
 			}
-			if err := emit(t); err != nil {
-				return err
+			fmt.Fprintln(stdout, "Figures 7-9: kernel speedups on 2 cores (paper vs measured)")
+			for _, r := range res {
+				fmt.Fprintf(stdout, "  %-22s paper %.2fx   measured %.2fx\n", r.Name, r.PaperSpeedup, r.Measured2Core)
 			}
 			fmt.Fprintln(stdout)
-			return nil
-		}); err != nil {
+			continue
+		}
+		t, err := s.Figure(f)
+		if err != nil {
 			return err
 		}
-	}
-	return writeEval(*evalOut, s.Workers, timings, cmp)
-}
-
-// compareSelection times the same cold figure regeneration twice — once
-// with measured selection, once with auto — on fresh Suites (fresh caches:
-// both runs pay every compile), then runs the agreement evaluation so the
-// speedup is reported next to the quality it costs.
-func compareSelection(s *exp.Suite, figs []int, workers, agreeRand int, threshold float64) (*selectCompare, *exp.AgreementReport, error) {
-	regen := func(mode compiler.SelectionMode) (float64, error) {
-		cs := exp.NewSuite()
-		cs.Benchmarks = s.Benchmarks
-		if workers > 0 {
-			cs.Workers = workers
-		}
-		cs.Select = mode
-		cs.SelectThreshold = threshold
-		start := time.Now()
-		for _, f := range figs {
-			if f >= 7 && f <= 9 {
-				continue // kernel microbenchmarks bypass strategy selection
+		if *jsonOut {
+			if err := t.WriteJSON(stdout); err != nil {
+				return err
 			}
-			if _, err := cs.Figure(f); err != nil {
-				return 0, err
-			}
+		} else {
+			t.Print(stdout)
 		}
-		return time.Since(start).Seconds(), nil
+		fmt.Fprintln(stdout)
 	}
-	ms, err := regen(compiler.SelectMeasured)
-	if err != nil {
-		return nil, nil, err
-	}
-	as, err := regen(compiler.SelectAuto)
-	if err != nil {
-		return nil, nil, err
-	}
-	rep, err := s.SelectionAgreement(agreeRand)
-	if err != nil {
-		return nil, nil, err
-	}
-	cmp := &selectCompare{
-		MeasuredSeconds: ms, AutoSeconds: as,
-		AutoAgreement: rep.AutoAgreement, StaticAgreement: rep.StaticAgreement,
-		Escalated: rep.Escalated, Hurts: rep.Hurts,
-	}
-	if as > 0 {
-		cmp.Speedup = ms / as
-	}
-	return cmp, rep, nil
+	return nil
 }
 
 // writeScalingJSON emits the scalability figure as one JSON document:
@@ -341,26 +226,4 @@ func checkAgreement(rep *exp.AgreementReport, min float64) error {
 		return fmt.Errorf("auto agreement %.1f%% below floor %.1f%%", 100*rep.AutoAgreement, 100*min)
 	}
 	return nil
-}
-
-// writeEval records the run's timings (plus the host parallelism they were
-// measured under) so speedup claims are reproducible.
-func writeEval(path string, workers int, timings []evalTiming, cmp *selectCompare) error {
-	if path == "" {
-		return nil
-	}
-	out := struct {
-		HostCPUs int            `json:"host_cpus"`
-		Workers  int            `json:"workers"`
-		Figures  []evalTiming   `json:"figures"`
-		Select   *selectCompare `json:"select_compare,omitempty"`
-	}{HostCPUs: runtime.NumCPU(), Workers: workers, Figures: timings, Select: cmp}
-	f, err := os.Create(path)
-	if err != nil {
-		return err
-	}
-	defer f.Close()
-	enc := json.NewEncoder(f)
-	enc.SetIndent("", "  ")
-	return enc.Encode(out)
 }

@@ -36,30 +36,11 @@ func golden(t *testing.T, name string, got []byte) {
 // the evaluation numbers are deterministic, so any drift is a real change
 // in simulated behaviour.
 func TestSmokeGolden(t *testing.T) {
-	evalOut := filepath.Join(t.TempDir(), "eval.json")
 	var stdout, stderr bytes.Buffer
-	if err := run([]string{"-smoke", "-j", "1", "-evalout", evalOut}, &stdout, &stderr); err != nil {
+	if err := run([]string{"-smoke", "-j", "1"}, &stdout, &stderr); err != nil {
 		t.Fatalf("run -smoke: %v", err)
 	}
 	golden(t, "smoke.golden", stdout.Bytes())
-
-	b, err := os.ReadFile(evalOut)
-	if err != nil {
-		t.Fatalf("evalout not written: %v", err)
-	}
-	var eval struct {
-		Workers int `json:"workers"`
-		Figures []struct {
-			Figure  string  `json:"figure"`
-			Seconds float64 `json:"seconds"`
-		} `json:"figures"`
-	}
-	if err := json.Unmarshal(b, &eval); err != nil {
-		t.Fatalf("evalout does not parse: %v", err)
-	}
-	if eval.Workers != 1 || len(eval.Figures) != 3 {
-		t.Errorf("evalout: workers=%d figures=%d, want 1/3", eval.Workers, len(eval.Figures))
-	}
 }
 
 func TestFig7Golden(t *testing.T) {
@@ -94,6 +75,13 @@ func TestBadFlags(t *testing.T) {
 	if err := run([]string{"-bogus"}, &stdout, &stderr); err == nil {
 		t.Error("unknown flag accepted")
 	}
+	// Out-of-range values fail before any figure is computed.
+	if err := run([]string{"-bench", "rawcaudio", "-fig", "13", "-select", "auto", "-select-threshold", "2"}, &stdout, &stderr); err == nil {
+		t.Error("-select-threshold above 1 accepted")
+	}
+	if stdout.Len() != 0 {
+		t.Errorf("rejected invocation wrote output:\n%s", stdout.String())
+	}
 }
 
 // TestAgreementMode: -agreement produces the agreement report, honors the
@@ -127,36 +115,5 @@ func TestAgreementMode(t *testing.T) {
 	stdout.Reset()
 	if err := run([]string{"-bench", "rawcaudio", "-agreement", "-agreerand", "1", "-agreemin", "1.01", "-j", "1"}, &stdout, &stderr); err == nil {
 		t.Error("agreement gate above 100% passed")
-	}
-}
-
-// TestCompareSelectSmoke: -compare-select records both regeneration
-// timings and the speedup into -evalout.
-func TestCompareSelectSmoke(t *testing.T) {
-	evalOut := filepath.Join(t.TempDir(), "eval.json")
-	var stdout, stderr bytes.Buffer
-	args := []string{"-smoke", "-compare-select", "-agreerand", "0", "-evalout", evalOut, "-j", "1"}
-	if err := run(args, &stdout, &stderr); err != nil {
-		t.Fatalf("run %v: %v", args, err)
-	}
-	b, err := os.ReadFile(evalOut)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var eval struct {
-		Select *struct {
-			MeasuredSeconds float64 `json:"measured_seconds"`
-			AutoSeconds     float64 `json:"auto_seconds"`
-			Speedup         float64 `json:"speedup"`
-		} `json:"select_compare"`
-	}
-	if err := json.Unmarshal(b, &eval); err != nil {
-		t.Fatal(err)
-	}
-	if eval.Select == nil {
-		t.Fatal("evalout lacks select_compare")
-	}
-	if eval.Select.MeasuredSeconds <= 0 || eval.Select.AutoSeconds <= 0 || eval.Select.Speedup <= 0 {
-		t.Errorf("degenerate comparison: %+v", *eval.Select)
 	}
 }

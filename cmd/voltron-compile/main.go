@@ -41,6 +41,9 @@ func run(args []string, stdout, stderr io.Writer) error {
 		return err
 	}
 
+	if *bench != "" && *kernel != "" {
+		return fmt.Errorf("-bench and -kernel are mutually exclusive")
+	}
 	var p *ir.Program
 	var err error
 	switch {
@@ -67,6 +70,9 @@ func run(args []string, stdout, stderr io.Writer) error {
 		return fmt.Errorf("unknown selection mode %q", *selectMode)
 	}
 	if err := spec.ValidateCores(*cores); err != nil {
+		return err
+	}
+	if err := spec.ValidateSelectThreshold(*selectTh); err != nil {
 		return err
 	}
 	cp, err := compiler.Compile(p, compiler.Options{

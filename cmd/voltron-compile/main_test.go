@@ -66,6 +66,15 @@ func TestErrors(t *testing.T) {
 	if err := run([]string{"-bench", "rawcaudio", "-strategy", "magic"}, &stdout, &stderr); err == nil {
 		t.Error("unknown strategy accepted")
 	}
+	if err := run([]string{"-bench", "rawcaudio", "-kernel", "gsm-ilp"}, &stdout, &stderr); err == nil {
+		t.Error("-bench and -kernel accepted together")
+	}
+	if err := run([]string{"-bench", "rawcaudio", "-strategy", "hybrid", "-select", "auto", "-select-threshold", "2"}, &stdout, &stderr); err == nil {
+		t.Error("-select-threshold above 1 accepted")
+	}
+	if stdout.Len() != 0 {
+		t.Errorf("rejected invocations wrote output:\n%s", stdout.String())
+	}
 }
 
 // TestSelectFlag: the shared -select flag reaches the compiler (auto mode

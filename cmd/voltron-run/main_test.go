@@ -110,6 +110,7 @@ func TestErrors(t *testing.T) {
 	}
 	for _, args := range [][]string{
 		{"-cores", "0"}, {"-cores", "65"}, {"-strategy", ""}, {"-select", ""},
+		{"-select", "auto", "-select-threshold", "2"},
 	} {
 		if err := run(args, &stdout, &stderr); err == nil {
 			t.Errorf("%q accepted", args)

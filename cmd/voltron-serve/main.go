@@ -34,17 +34,12 @@ import (
 	"io"
 	"net"
 	"net/http"
-	"net/http/httptest"
 	"os"
 	"os/signal"
-	"runtime"
-	"slices"
-	"strings"
 	"sync"
 	"syscall"
 	"time"
 
-	"voltron/internal/lang"
 	"voltron/internal/server"
 )
 
@@ -122,9 +117,12 @@ func run(args []string, stdout, stderr io.Writer) error {
 
 // runSmoke drives a representative request mix through a real listener —
 // repeated jobs for cache hits, concurrent identical jobs for singleflight,
-// an inline program, a figure — then writes the metrics snapshot. It is the
-// CI benchmark probe (BENCH_serve.json) and doubles as an end-to-end
-// exercise of the full serving path.
+// an inline program, a figure — and fails unless the mix hit both the
+// result and the compile cache. It is an end-to-end exercise of the full
+// serving path; -metricsout writes the final server.MetricsSnapshot, which
+// CI uploads as BENCH_serve.json. Cost comparisons live in perfbench
+// (pooled vs fresh machines as core.reset_* vs core.new_*, the frontend as
+// lang.frontend_us).
 func runSmoke(srv *server.Server, metricsOut string, stdout io.Writer) error {
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
@@ -263,79 +261,19 @@ func runSmoke(srv *server.Server, metricsOut string, stdout io.Writer) error {
 		return fmt.Errorf("smoke: the request mix shared no compiled artifacts")
 	}
 
-	// Before/after per-job probe: the same alternating two-job stream against
-	// a pooled server and one with pooling disabled. With one cache entry
-	// every request simulates, so the delta isolates the warm-machine path.
-	fresh, err := probePerJob(true, 200)
+	if metricsOut == "" {
+		return nil
+	}
+	b, err := json.MarshalIndent(m, "", "  ")
 	if err != nil {
 		return err
 	}
-	pooled, err := probePerJob(false, 200)
-	if err != nil {
-		return err
-	}
-	fmt.Fprintf(stdout, "smoke: per-job p50 %.0fus -> %.0fus, p99 %.0fus -> %.0fus, allocs/job %.0f -> %.0f (fresh -> pooled)\n",
-		fresh.P50Micros, pooled.P50Micros, fresh.P99Micros, pooled.P99Micros,
-		fresh.AllocsPerJob, pooled.AllocsPerJob)
-	if pooled.AllocsPerJob >= fresh.AllocsPerJob {
-		return fmt.Errorf("smoke: pooled path allocates %.0f objects/job, fresh path %.0f — pooling saves nothing",
-			pooled.AllocsPerJob, fresh.AllocsPerJob)
-	}
-
-	// Frontend probe: parse + type-check + lower a user program, no
-	// simulation. This is the extra per-request cost a source job pays over
-	// an equivalent kernels job before the shared pipeline takes over.
-	frontend, err := probeFrontend(200)
-	if err != nil {
-		return err
-	}
-	fmt.Fprintf(stdout, "smoke: frontend parse+lower p50 %.0fus, p99 %.0fus\n",
-		frontend.P50Micros, frontend.P99Micros)
-
-	if metricsOut != "" {
-		f, err := os.Create(metricsOut)
-		if err != nil {
-			return err
-		}
-		defer f.Close()
-		enc := json.NewEncoder(f)
-		enc.SetIndent("", "  ")
-		if err := enc.Encode(benchReport{
-			Metrics:  m,
-			PerJob:   map[string]perJobStats{"fresh": fresh, "pooled": pooled},
-			Frontend: frontend,
-		}); err != nil {
-			return err
-		}
-	}
-	return nil
+	return os.WriteFile(metricsOut, append(b, '\n'), 0o644)
 }
 
-// benchReport is the BENCH_serve.json shape: the smoke run's service
-// metrics plus the pooled-vs-fresh per-job probe.
-type benchReport struct {
-	Metrics server.MetricsSnapshot `json:"metrics"`
-	// PerJob holds the hot-path measurement per serving mode: "fresh"
-	// builds a machine per job (the before-state), "pooled" reuses warm
-	// machines through the pool.
-	PerJob map[string]perJobStats `json:"per_job"`
-	// Frontend is the language-frontend probe: parse + type-check + lower
-	// of a representative user program, measured in isolation.
-	Frontend perJobStats `json:"frontend_parse_lower"`
-}
-
-// perJobStats is one serving mode's per-job cost in the smoke probe.
-type perJobStats struct {
-	Jobs         int     `json:"jobs"`
-	P50Micros    float64 `json:"p50_us"`
-	P99Micros    float64 `json:"p99_us"`
-	AllocsPerJob float64 `json:"allocs_per_job"`
-	BytesPerJob  float64 `json:"bytes_per_job"`
-}
-
-// smokeSource is the user program the smoke run POSTs as a source job and
-// measures in the frontend probe: a DOALL map, a reduction, and a serial
-// recurrence — enough shape diversity to exercise selection.
+// smokeSource is the user program the smoke run POSTs as a source job: a
+// DOALL map, a reduction, and a serial recurrence — enough shape diversity
+// to exercise selection.
 const smokeSource = `param n = 512;
 array xs[n] int = {3, 1, 4, 1, 5, 9, 2, 6};
 array ys[n] int;
@@ -361,86 +299,3 @@ var smokeSourceJSON = func() string {
 	}
 	return string(b)
 }()
-
-// probeFrontend runs the language frontend (parse, type-check, lower to IR)
-// n times over the smoke program and reports latency percentiles and
-// allocation rate — the source-job overhead measured without the simulator.
-func probeFrontend(n int) (perJobStats, error) {
-	if _, err := lang.Compile(smokeSource, "frontend-probe", nil); err != nil {
-		return perJobStats{}, fmt.Errorf("frontend probe: %w", err)
-	}
-	durs := make([]time.Duration, n)
-	var before, after runtime.MemStats
-	runtime.GC()
-	runtime.ReadMemStats(&before)
-	for i := 0; i < n; i++ {
-		t0 := time.Now()
-		if _, err := lang.Compile(smokeSource, "frontend-probe", nil); err != nil {
-			return perJobStats{}, err
-		}
-		durs[i] = time.Since(t0)
-	}
-	runtime.ReadMemStats(&after)
-	slices.Sort(durs)
-	return perJobStats{
-		Jobs:         n,
-		P50Micros:    float64(durs[n/2].Microseconds()),
-		P99Micros:    float64(durs[min(n-1, n*99/100)].Microseconds()),
-		AllocsPerJob: float64(after.Mallocs-before.Mallocs) / float64(n),
-		BytesPerJob:  float64(after.TotalAlloc-before.TotalAlloc) / float64(n),
-	}, nil
-}
-
-// probePerJob serves n alternating inline jobs straight through the handler
-// (no listener: the probe measures the serving path, not the TCP stack) with
-// a one-entry result cache, so every request compiles-or-hits the artifact
-// cache and simulates. It reports client-observed latency percentiles and
-// the process-wide allocation rate per job.
-func probePerJob(disablePool bool, n int) (perJobStats, error) {
-	srv := server.New(server.Config{Workers: 1, CacheEntries: 1, DisableMachinePool: disablePool})
-	h := srv.Handler()
-	jobs := [2]string{
-		`{"program": {"kind": "kernels", "name": "probeA", "kernels": [
-			{"kind": "doall-map", "name": "m", "n": 64, "work": 2},
-			{"kind": "serial-chain", "name": "c", "n": 16}
-		]}, "strategy": "llp", "cores": 2}`,
-		`{"program": {"kind": "kernels", "name": "probeB", "kernels": [
-			{"kind": "doall-map", "name": "m", "n": 96, "work": 2},
-			{"kind": "serial-chain", "name": "c", "n": 24}
-		]}, "strategy": "llp", "cores": 2}`,
-	}
-	post := func(i int) error {
-		req := httptest.NewRequest("POST", "/v1/jobs", strings.NewReader(jobs[i&1]))
-		w := httptest.NewRecorder()
-		h.ServeHTTP(w, req)
-		if w.Code != http.StatusOK {
-			return fmt.Errorf("probe job: status %d: %s", w.Code, w.Body.String())
-		}
-		return nil
-	}
-	for i := 0; i < 2; i++ { // warm the compile cache and (if enabled) the pool
-		if err := post(i); err != nil {
-			return perJobStats{}, err
-		}
-	}
-	durs := make([]time.Duration, n)
-	var before, after runtime.MemStats
-	runtime.GC()
-	runtime.ReadMemStats(&before)
-	for i := 0; i < n; i++ {
-		t0 := time.Now()
-		if err := post(i); err != nil {
-			return perJobStats{}, err
-		}
-		durs[i] = time.Since(t0)
-	}
-	runtime.ReadMemStats(&after)
-	slices.Sort(durs)
-	return perJobStats{
-		Jobs:         n,
-		P50Micros:    float64(durs[n/2].Microseconds()),
-		P99Micros:    float64(durs[min(n-1, n*99/100)].Microseconds()),
-		AllocsPerJob: float64(after.Mallocs-before.Mallocs) / float64(n),
-		BytesPerJob:  float64(after.TotalAlloc-before.TotalAlloc) / float64(n),
-	}, nil
-}

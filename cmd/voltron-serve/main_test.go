@@ -7,6 +7,8 @@ import (
 	"path/filepath"
 	"strings"
 	"testing"
+
+	"voltron/internal/server"
 )
 
 // TestSmokeMode drives the -smoke self-test end to end: it exercises the
@@ -25,11 +27,10 @@ func TestSmokeMode(t *testing.T) {
 	if err != nil {
 		t.Fatalf("metrics file: %v", err)
 	}
-	var rep benchReport
-	if err := json.Unmarshal(b, &rep); err != nil {
+	var m server.MetricsSnapshot
+	if err := json.Unmarshal(b, &m); err != nil {
 		t.Fatalf("metrics file does not parse: %v\n%s", err, b)
 	}
-	m := rep.Metrics
 	if m.Jobs == 0 || m.Simulations == 0 {
 		t.Errorf("metrics snapshot empty: %+v", m)
 	}
@@ -41,16 +42,6 @@ func TestSmokeMode(t *testing.T) {
 	}
 	if m.Latency["hybrid"].Count == 0 {
 		t.Error("no hybrid latency observations recorded")
-	}
-	fresh, pooled := rep.PerJob["fresh"], rep.PerJob["pooled"]
-	if fresh.Jobs == 0 || pooled.Jobs == 0 {
-		t.Fatalf("per-job probe missing: %+v", rep.PerJob)
-	}
-	if pooled.AllocsPerJob >= fresh.AllocsPerJob {
-		t.Errorf("pooled allocs/job %.0f not below fresh %.0f", pooled.AllocsPerJob, fresh.AllocsPerJob)
-	}
-	if fresh.P50Micros <= 0 || pooled.P50Micros <= 0 || fresh.P99Micros < fresh.P50Micros || pooled.P99Micros < pooled.P50Micros {
-		t.Errorf("implausible percentiles: fresh %+v pooled %+v", fresh, pooled)
 	}
 }
 

@@ -216,7 +216,7 @@ func TestMemoConcurrentHits(t *testing.T) {
 }
 
 // hitJobs is one job of each program kind, for the hit-path allocation
-// guard and benchmark.
+// guard.
 func hitJobs() []struct{ name, body string } {
 	return []struct{ name, body string }{
 		{"bench", `{"program": {"kind": "bench", "bench": "rawcaudio"}, "strategy": "llp", "cores": 2}`},
@@ -253,23 +253,5 @@ func TestCachedHitAllocCeiling(t *testing.T) {
 		if allocs > ceiling {
 			t.Errorf("%s: a result hit allocates %.0f objects, ceiling %d — the hit path is decoding again", j.name, allocs, ceiling)
 		}
-	}
-}
-
-// BenchmarkServeHit measures a result hit through Handler() per program
-// kind: body read, digest, memo and result lookups, admission, response.
-func BenchmarkServeHit(b *testing.B) {
-	for _, j := range hitJobs() {
-		b.Run(j.name, func(b *testing.B) {
-			h := New(Config{Workers: 1}).Handler()
-			req := httptest.NewRequest("POST", "/v1/jobs", strings.NewReader(j.body))
-			h.ServeHTTP(httptest.NewRecorder(), req)
-			serveHit(b, h, j.body)
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				serveHit(b, h, j.body)
-			}
-		})
 	}
 }

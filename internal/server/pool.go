@@ -31,9 +31,8 @@ type machinePool struct {
 	news   stats.Counter // get built a fresh machine
 }
 
-// newMachinePool creates a pool bounded to perKey idle machines per
-// configuration. perKey = 0 disables pooling: every get builds fresh and
-// every put drops — the before/after comparison path.
+// newMachinePool creates a pool bounded to perKey (at least 1) idle
+// machines per configuration.
 func newMachinePool(perKey int) *machinePool {
 	return &machinePool{perKey: perKey, maxIdle: 4 * perKey, idle: map[string][]*core.Machine{}}
 }

@@ -149,8 +149,9 @@ func TestMachinePoolWideShapeReset(t *testing.T) {
 	wg.Wait()
 }
 
-// TestPooledMatchesFreshServer runs the same job mix against a pooled
-// server and one with pooling disabled; every response body must be
+// TestPooledMatchesFreshServer runs one job mix through a single pooled
+// server and, as the reference, each job through a new server, whose empty
+// pool builds every machine with core.New. Every response body must be
 // byte-identical (the response is rendered from the RunResult, so equal
 // bodies mean equal simulations).
 func TestPooledMatchesFreshServer(t *testing.T) {
@@ -168,9 +169,9 @@ func TestPooledMatchesFreshServer(t *testing.T) {
 		]}, "strategy": "ilp", "cores": 2}`,
 		tinyJob(), // repeat: served from cache, must match the first answer
 	}
-	_, pooled := newTestServer(t, Config{Workers: 2})
-	_, fresh := newTestServer(t, Config{Workers: 2, DisableMachinePool: true})
+	s, pooled := newTestServer(t, Config{Workers: 2})
 	for i, job := range jobs {
+		fs, fresh := newTestServer(t, Config{Workers: 2})
 		respP, bodyP := postJob(t, pooled, job)
 		respF, bodyF := postJob(t, fresh, job)
 		if respP.StatusCode != http.StatusOK || respF.StatusCode != http.StatusOK {
@@ -179,6 +180,12 @@ func TestPooledMatchesFreshServer(t *testing.T) {
 		if string(bodyP) != string(bodyF) {
 			t.Errorf("job %d: pooled body differs from fresh\npooled: %s\nfresh:  %s", i, bodyP, bodyF)
 		}
+		if h := fs.Metrics().MachinePoolHits; h != 0 {
+			t.Errorf("job %d: the reference server reused %d pooled machine(s)", i, h)
+		}
+	}
+	if s.Metrics().MachinePoolHits == 0 {
+		t.Error("the pooled server never reused a machine")
 	}
 }
 

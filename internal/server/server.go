@@ -54,11 +54,6 @@ type Config struct {
 	// cached by spec.CompileKey and shared across trace variants, machine
 	// ablations and baseline runs of the same program. Defaults to 64.
 	ArtifactEntries int
-	// DisableMachinePool turns off warm-machine reuse: every run builds a
-	// fresh core.Machine. The pooled path is byte-identical to this one
-	// (the differential tests assert it); the switch exists for the
-	// before/after comparison in the serve smoke and benchmarks.
-	DisableMachinePool bool
 	// Self names this replica on the cluster's consistent-hash ring. Empty
 	// with no Peers means single-replica operation.
 	Self string
@@ -172,10 +167,6 @@ func New(cfg Config) *Server {
 		cfg.Suite = exp.NewSuite()
 		cfg.Suite.Workers = cfg.Workers
 	}
-	poolPerKey := cfg.Workers
-	if cfg.DisableMachinePool {
-		poolPerKey = 0
-	}
 	s := &Server{
 		cfg:        cfg,
 		suite:      cfg.Suite,
@@ -183,7 +174,7 @@ func New(cfg Config) *Server {
 		artifacts:  newSFCache[*core.CompiledProgram](cfg.ArtifactEntries),
 		traces:     newLRU[string, []byte](cfg.TraceEntries),
 		memo:       newLRU[[sha256.Size]byte, memoEntry](cfg.CacheEntries),
-		pool:       newMachinePool(poolPerKey),
+		pool:       newMachinePool(cfg.Workers),
 		runSem:     make(chan struct{}, cfg.Workers),
 		compileSem: make(chan struct{}, cfg.Workers),
 		start:      time.Now(),

@@ -3,6 +3,7 @@ package spec
 import (
 	"flag"
 	"io"
+	"math"
 	"testing"
 
 	"voltron/internal/compiler"
@@ -81,6 +82,23 @@ func TestNormalizeSelect(t *testing.T) {
 	over.Compiler.SelectThreshold = 1.5
 	if err := over.Normalize(known); err == nil {
 		t.Error("threshold above 1 was accepted")
+	}
+}
+
+// TestValidateSelectThreshold pins the range check the CLIs' flags and
+// Normalize share (TestNormalizeSelect covers the Normalize side): a
+// confidence floor is at most 1, negative disables the gate, and NaN,
+// which a flag can spell, is out of range.
+func TestValidateSelectThreshold(t *testing.T) {
+	for _, th := range []float64{math.Inf(-1), -1, -0.5, 0, 0.08, 1} {
+		if err := ValidateSelectThreshold(th); err != nil {
+			t.Errorf("ValidateSelectThreshold(%v) = %v, want nil", th, err)
+		}
+	}
+	for _, th := range []float64{1.0001, 2, math.Inf(1), math.NaN()} {
+		if err := ValidateSelectThreshold(th); err == nil {
+			t.Errorf("ValidateSelectThreshold(%v) accepted", th)
+		}
 	}
 }
 

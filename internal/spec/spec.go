@@ -315,9 +315,8 @@ func (r *JobRequest) Normalize(known func(bench string) bool) error {
 	if _, ok := SelectionFor(r.Compiler.Select); !ok {
 		return errf(ErrUnknownStrategy, "unknown selection mode %q (want %s)", r.Compiler.Select, selectNames())
 	}
-	if r.Compiler.SelectThreshold > 1 {
-		return errf(ErrBadSpec, "select_threshold = %v out of range (confidence is in [0, 1]; negative disables the gate)",
-			r.Compiler.SelectThreshold)
+	if err := ValidateSelectThreshold(r.Compiler.SelectThreshold); err != nil {
+		return errf(ErrBadSpec, "%v", err)
 	}
 	if r.Compiler.SelectThreshold < 0 {
 		r.Compiler.SelectThreshold = -1 // canonical "no gate"
@@ -695,6 +694,16 @@ func CoresFlag(fs *flag.FlagSet) *int {
 func ValidateCores(n int) error {
 	if n < 1 || n > MaxCores {
 		return fmt.Errorf("-cores = %d out of range [1, %d]", n, MaxCores)
+	}
+	return nil
+}
+
+// ValidateSelectThreshold range-checks an auto-mode confidence floor:
+// confidence is in [0, 1], and a negative floor disables the gate.
+// Normalize and every -select-threshold flag share it.
+func ValidateSelectThreshold(th float64) error {
+	if !(th <= 1) {
+		return fmt.Errorf("select_threshold = %v out of range (confidence is in [0, 1]; negative disables the gate)", th)
 	}
 	return nil
 }
