@@ -69,9 +69,6 @@ func run(args []string, stdout, stderr io.Writer) error {
 	if *bench != "" && *srcPath != "" {
 		return fmt.Errorf("-bench and -src are mutually exclusive")
 	}
-	if err := spec.ValidateSelectThreshold(*selectTh); err != nil {
-		return err
-	}
 	// Normalize reads a zero or empty field as "use the default"; on the
 	// command line those values are mistakes, as in voltron-compile.
 	if err := spec.ValidateCores(*cores); err != nil {

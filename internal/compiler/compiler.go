@@ -105,10 +105,6 @@ type Options struct {
 	// speculative loop parallelization. 0 means the default (8);
 	// NoThreshold admits every trip count.
 	DOALLTripThreshold float64
-	// MissStallThreshold is the memory-boundedness gate that sends regions
-	// to decoupled strand execution (fraction of estimated time in misses).
-	// 0 means the default; NoThreshold disables the gate.
-	MissStallThreshold float64
 	// DisableEBUGWeights turns eBUG into plain BUG for strand extraction
 	// (ablation).
 	DisableEBUGWeights bool
@@ -138,7 +134,6 @@ func (o Options) withDefaults() Options {
 	}
 	o.DSWPThreshold = resolveThreshold(o.DSWPThreshold, 1.25)
 	o.DOALLTripThreshold = resolveThreshold(o.DOALLTripThreshold, 8)
-	o.MissStallThreshold = resolveThreshold(o.MissStallThreshold, 0.15)
 	o.SelectThreshold = resolveThreshold(o.SelectThreshold, DefaultSelectThreshold)
 	if o.Selection == SelectStatic {
 		o.SelectThreshold = NoThreshold

@@ -1,10 +1,6 @@
 package compiler
 
-import (
-	"sort"
-
-	"voltron/internal/isa"
-)
+import "voltron/internal/isa"
 
 // dagNode is one schedulable machine instruction with its dependence edges;
 // the unit the per-core list scheduler operates on.
@@ -130,52 +126,4 @@ func (d *dag) schedule() []isa.Inst {
 		}
 	}
 	return out
-}
-
-// criticalPathLength estimates the schedule length of the dag on a
-// single-issue core (used by partitioning heuristics and DSWP's speedup
-// estimate) without committing a schedule.
-func (d *dag) criticalPathLength() int {
-	d.computeHeights()
-	max := 0
-	for _, n := range d.nodes {
-		if n.height+1 > max {
-			max = n.height + 1
-		}
-	}
-	if len(d.nodes) > max {
-		max = len(d.nodes)
-	}
-	return max
-}
-
-// topoOrder returns node indices in a dependence-respecting order (Kahn),
-// breaking ties by insertion order for determinism.
-func (d *dag) topoOrder() []int {
-	indeg := make([]int, len(d.nodes))
-	for _, n := range d.nodes {
-		for _, s := range n.succs {
-			indeg[s]++
-		}
-	}
-	var ready []int
-	for i := range d.nodes {
-		if indeg[i] == 0 {
-			ready = append(ready, i)
-		}
-	}
-	var order []int
-	for len(ready) > 0 {
-		sort.Ints(ready)
-		n := ready[0]
-		ready = ready[1:]
-		order = append(order, n)
-		for _, s := range d.nodes[n].succs {
-			indeg[s]--
-			if indeg[s] == 0 {
-				ready = append(ready, s)
-			}
-		}
-	}
-	return order
 }

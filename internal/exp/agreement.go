@@ -1,6 +1,7 @@
 package exp
 
 import (
+	"context"
 	"encoding/json"
 	"fmt"
 	"io"
@@ -91,11 +92,11 @@ func (s *Suite) SelectionAgreement(nrand int) (*AgreementReport, error) {
 	var jobs []job
 	for _, b := range s.sortedBenchmarks() {
 		jobs = append(jobs, job{b, func() (*ir.Program, *prof.Profile, error) {
-			p, err := s.programFor(b)
+			p, err := s.Program(b)
 			if err != nil {
 				return nil, nil, err
 			}
-			pr, err := s.profileFor(b)
+			pr, err := s.Profile(b)
 			return p, pr, err
 		}})
 	}
@@ -179,23 +180,15 @@ func (s *Suite) agreeProgram(name string, build func() (*ir.Program, *prof.Profi
 	aopts := opts
 	aopts.Selection = compiler.SelectAuto
 	aopts.SelectThreshold = s.SelectThreshold
-	acp, err := compiler.Compile(p, aopts)
+	acp, ares, err := compiler.CompileRun(context.Background(), p, aopts, core.DefaultConfig(agreementCores))
 	if err != nil {
 		return nil, fmt.Errorf("%s: auto: %w", name, err)
 	}
 	serialOpts := opts
 	serialOpts.Strategy = compiler.Serial
-	scp, err := compiler.Compile(p, serialOpts)
+	_, sres, err := compiler.CompileRun(context.Background(), p, serialOpts, core.DefaultConfig(agreementCores))
 	if err != nil {
 		return nil, fmt.Errorf("%s: serial: %w", name, err)
-	}
-	ares, err := core.New(core.DefaultConfig(acp.Cores)).Run(acp)
-	if err != nil {
-		return nil, fmt.Errorf("%s: auto run: %w", name, err)
-	}
-	sres, err := core.New(core.DefaultConfig(scp.Cores)).Run(scp)
-	if err != nil {
-		return nil, fmt.Errorf("%s: serial run: %w", name, err)
 	}
 	rows := make([]AgreementRow, len(p.Regions))
 	for i := range p.Regions {

@@ -200,23 +200,24 @@ func (s *Suite) acquire() {
 
 func (s *Suite) release() { <-s.sem }
 
-// programFor builds (and caches) one benchmark. The same IR instance must
+// Program builds (and caches) one benchmark. The same IR instance must
 // serve profiling and every compile: profiles are keyed by op identity.
-// (Concurrent compiles of that shared instance are race-free: the
-// compiler's only in-place pass is guarded by ir.Program.PrepareOnce.)
-func (s *Suite) programFor(bench string) (*ir.Program, error) {
+// The returned program is shared — callers must treat it as read-only
+// (compiling it is fine, also concurrently: the compiler's only in-place
+// pass is guarded by ir.Program.PrepareOnce).
+func (s *Suite) Program(bench string) (*ir.Program, error) {
 	return do(s, s.progs, bench, func() (*ir.Program, error) {
 		return workload.Build(bench)
 	})
 }
 
-// profileFor collects (and caches) the profile of one benchmark. Profiling
+// Profile collects (and caches) the profile of one benchmark. Profiling
 // always completes before the benchmark's first compile (Run collects the
 // profile first), so the profiling interpreter never overlaps the
 // compiler's one-shot IR cleanup.
-func (s *Suite) profileFor(bench string) (*prof.Profile, error) {
+func (s *Suite) Profile(bench string) (*prof.Profile, error) {
 	return do(s, s.profs, bench, func() (*prof.Profile, error) {
-		p, err := s.programFor(bench)
+		p, err := s.Program(bench)
 		if err != nil {
 			return nil, err
 		}
@@ -224,23 +225,15 @@ func (s *Suite) profileFor(bench string) (*prof.Profile, error) {
 	})
 }
 
-// Program returns the (cached) IR of one benchmark. The returned program
-// is shared — callers must treat it as read-only (compiling it is fine:
-// the compiler's only in-place pass is PrepareOnce-guarded).
-func (s *Suite) Program(bench string) (*ir.Program, error) { return s.programFor(bench) }
-
-// Profile returns the (cached) profile of one benchmark.
-func (s *Suite) Profile(bench string) (*prof.Profile, error) { return s.profileFor(bench) }
-
 // Run returns the (cached) simulation of one configuration. Concurrent
 // calls with the same key share one simulation.
 func (s *Suite) Run(bench string, strat compiler.Strategy, cores int) (*core.RunResult, error) {
 	return do(s, s.runs, runKey{bench, strat, cores}, func() (*core.RunResult, error) {
-		p, err := s.programFor(bench)
+		p, err := s.Program(bench)
 		if err != nil {
 			return nil, err
 		}
-		pr, err := s.profileFor(bench)
+		pr, err := s.Profile(bench)
 		if err != nil {
 			return nil, err
 		}

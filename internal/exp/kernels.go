@@ -176,8 +176,3 @@ func runProgram(p *ir.Program, strat compiler.Strategy, cores int) (*core.RunRes
 		compiler.Options{Cores: cores, Strategy: strat}, core.DefaultConfig(cores))
 	return res, err
 }
-
-// runProgramC simulates an already compiled program (test helper).
-func runProgramC(cp *core.CompiledProgram, cores int) (*core.RunResult, error) {
-	return core.New(core.DefaultConfig(cores)).Run(cp)
-}

@@ -10,17 +10,14 @@ import "voltron/internal/isa"
 // and compute loop-carried dependence distances for affine accesses, while
 // anything non-affine stays conservatively "may alias".
 
-// AddrExpr is a symbolic address: Arr.Base + Stride*iv + Offset (bytes).
-// Known reports whether the derivation succeeded. An expression with
-// Stride == 0 is a loop-invariant address.
+// AddrExpr is a symbolic address: base + Stride*iv + Offset (bytes), where
+// base is the op's array object's base address. Known reports whether the
+// derivation succeeded. An expression with Stride == 0 is a loop-invariant
+// address.
 type AddrExpr struct {
 	Known  bool
-	Arr    *Array
 	Stride int64 // bytes per induction step
 	Offset int64 // bytes from array base at iv = 0 (symbolic origin)
-	// IVBased reports whether the expression references the induction
-	// variable at all (false for pure loop invariants).
-	IVBased bool
 }
 
 // AffineCtx caches single-def lookups during derivation. Building one walks
@@ -57,7 +54,6 @@ func (r *Region) newAffineCtx(l *Loop) *AffineCtx {
 type term struct {
 	ok   bool
 	a, b int64
-	ivb  bool
 }
 
 func (c *AffineCtx) eval(v Value, depth int) term {
@@ -65,7 +61,7 @@ func (c *AffineCtx) eval(v Value, depth int) term {
 		return term{}
 	}
 	if v == c.iv && c.iv != NoValue {
-		return term{ok: true, a: 1, ivb: true}
+		return term{ok: true, a: 1}
 	}
 	ds := c.defs[v]
 	// The value must have a single reaching definition for the linear form
@@ -101,45 +97,46 @@ func (c *AffineCtx) eval(v Value, depth int) term {
 			return term{}
 		}
 		if d.Args[1] == NoValue {
-			return term{ok: true, a: x.a, b: x.b + d.Imm, ivb: x.ivb}
+			return term{ok: true, a: x.a, b: x.b + d.Imm}
 		}
 		y := c.eval(d.Args[1], depth+1)
 		if !y.ok {
 			return term{}
 		}
-		return term{ok: true, a: x.a + y.a, b: x.b + y.b, ivb: x.ivb || y.ivb}
+		return term{ok: true, a: x.a + y.a, b: x.b + y.b}
 	case isa.SUB:
 		x := c.eval(d.Args[0], depth+1)
 		if !x.ok {
 			return term{}
 		}
 		if d.Args[1] == NoValue {
-			return term{ok: true, a: x.a, b: x.b - d.Imm, ivb: x.ivb}
+			return term{ok: true, a: x.a, b: x.b - d.Imm}
 		}
 		y := c.eval(d.Args[1], depth+1)
 		if !y.ok {
 			return term{}
 		}
-		return term{ok: true, a: x.a - y.a, b: x.b - y.b, ivb: x.ivb || y.ivb}
+		return term{ok: true, a: x.a - y.a, b: x.b - y.b}
 	case isa.SHL:
 		x := c.eval(d.Args[0], depth+1)
 		if !x.ok || d.Args[1] != NoValue {
 			return term{}
 		}
-		return term{ok: true, a: x.a << uint(d.Imm), b: x.b << uint(d.Imm), ivb: x.ivb}
+		return term{ok: true, a: x.a << uint(d.Imm), b: x.b << uint(d.Imm)}
 	case isa.MUL:
 		x := c.eval(d.Args[0], depth+1)
 		if !x.ok || d.Args[1] != NoValue {
 			return term{}
 		}
-		return term{ok: true, a: x.a * d.Imm, b: x.b * d.Imm, ivb: x.ivb}
+		return term{ok: true, a: x.a * d.Imm, b: x.b * d.Imm}
 	}
 	return term{}
 }
 
 // AddrExprOf derives the affine address expression of a memory op relative
 // to loop l (may be nil: then only loop-invariant constant addresses
-// resolve). The result's Offset is absolute when Arr is nil.
+// resolve). The result's Offset is absolute when the op has no known array
+// object.
 func (r *Region) AddrExprOf(o *Op, l *Loop, ctx *AffineCtx) AddrExpr {
 	if !o.Code.IsMemory() {
 		return AddrExpr{}
@@ -152,17 +149,15 @@ func (r *Region) AddrExprOf(o *Op, l *Loop, ctx *AffineCtx) AddrExpr {
 		return AddrExpr{}
 	}
 	addr0 := t.b + o.Imm
-	var arr *Array
 	if o.Obj != UnknownObj && o.Obj >= 0 && o.Obj < len(r.Program.Arrays) {
-		arr = r.Program.Arrays[o.Obj]
-		addr0 -= arr.Base
+		addr0 -= r.Program.Arrays[o.Obj].Base
 	}
 	// Scale stride by the induction step (iv advances Step per iteration).
 	stride := t.a
 	if l != nil && l.Induction != nil {
 		stride *= l.Induction.Step
 	}
-	return AddrExpr{Known: true, Arr: arr, Stride: stride, Offset: addr0, IVBased: t.ivb}
+	return AddrExpr{Known: true, Stride: stride, Offset: addr0}
 }
 
 // MemDepKind classifies the relation between two memory references.

@@ -11,9 +11,6 @@ func f2u(f float64) uint64 { return math.Float64bits(f) }
 // U2F converts a memory word to float64 (exported for interpreters/dumps).
 func U2F(u uint64) float64 { return math.Float64frombits(u) }
 
-// F2U converts a float64 to its memory word representation.
-func F2U(f float64) uint64 { return math.Float64bits(f) }
-
 // emit appends a finished op to the block.
 func (b *Block) emit(o *Op) *Op {
 	o.Blk = b

@@ -1,7 +1,5 @@
 package ir
 
-import "voltron/internal/isa"
-
 // Dependence graphs. Two granularities are used by the compiler:
 //
 //   - Block DFG: precise flow/anti/output/memory dependences among the ops
@@ -341,13 +339,4 @@ func (g *PDG) SCCs() [][]*Op {
 		sccs[i], sccs[j] = sccs[j], sccs[i]
 	}
 	return sccs
-}
-
-// ValueClassOfOp returns the register class an op's destination uses,
-// falling back to the region's value table.
-func (r *Region) ValueClassOfOp(o *Op) isa.RegClass {
-	if o.Dst == NoValue {
-		return isa.RegNone
-	}
-	return r.ValueClass(o.Dst)
 }

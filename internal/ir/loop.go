@@ -46,10 +46,9 @@ type InductionVar struct {
 // not otherwise redefined in the loop; such recurrences are eliminated by
 // accumulator expansion when parallelizing DOALL loops.
 type Reduction struct {
-	Acc    Value
-	Op     *Op
-	Kind   isa.Opcode // ADD or FADD
-	IsFMul bool
+	Acc  Value
+	Op   *Op
+	Kind isa.Opcode // ADD, FADD, MUL or FMUL
 }
 
 // Loops finds all natural loops in the region, with nesting. Loops sharing
@@ -279,9 +278,7 @@ func (r *Region) detectReductions(l *Loop) {
 			if usedElsewhere {
 				continue
 			}
-			l.Reductions = append(l.Reductions, &Reduction{
-				Acc: o.Dst, Op: o, Kind: o.Code, IsFMul: o.Code == isa.FMUL,
-			})
+			l.Reductions = append(l.Reductions, &Reduction{Acc: o.Dst, Op: o, Kind: o.Code})
 		}
 	}
 }

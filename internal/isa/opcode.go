@@ -154,15 +154,6 @@ func (op Opcode) IsCompare() bool {
 	return false
 }
 
-// IsFloat reports whether the opcode produces a floating-point result.
-func (op Opcode) IsFloat() bool {
-	switch op {
-	case FADD, FSUB, FMUL, FDIV, FMOVI, FMOV, ITOF, FLOAD:
-		return true
-	}
-	return false
-}
-
 // Latency returns the execution latency of the opcode in cycles, following
 // the Itanium-like latencies the paper assumes via HPL-PD. Loads report
 // their L1-hit latency; cache misses add time in the memory model.

@@ -59,9 +59,6 @@ type Symbol struct {
 	Val int64
 	// FVal is the constant float initializer of a float global.
 	FVal float64
-	// Default is a param's declared default, before input overrides
-	// (spec canonicalization drops inputs that equal it).
-	Default int64
 	// Fn is the declaration of a symFunc.
 	Fn *FuncDecl
 	// GlobalIdx is the word offset of a symGlobal in the hidden globals

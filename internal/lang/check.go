@@ -104,7 +104,7 @@ func (c *checker) declare(inputs map[string]int64) {
 		return
 	}
 	for _, d := range f.Params {
-		d.Sym = &Symbol{Kind: symParam, Name: d.Name, Type: TInt, Val: d.Value, Default: d.Value}
+		d.Sym = &Symbol{Kind: symParam, Name: d.Name, Type: TInt, Val: d.Value}
 		c.declareName(d.Name, d.P, d.Sym)
 	}
 	inputNames := make([]string, 0, len(inputs))

@@ -49,15 +49,14 @@ func DefaultConfig(n int) Config {
 
 // Stats counts memory-system events.
 type Stats struct {
-	L1DHits, L1DMisses   []int64
-	L1IHits, L1IMisses   []int64
-	L2Hits, L2Misses     int64
-	C2CTransfers         int64
-	Invalidations        int64
-	Writebacks           int64
-	BusTransactions      int64
-	UpgradeTransactions  int64
-	TransactionConflicts int64
+	L1DHits, L1DMisses  []int64
+	L1IHits, L1IMisses  []int64
+	L2Hits, L2Misses    int64
+	C2CTransfers        int64
+	Invalidations       int64
+	Writebacks          int64
+	BusTransactions     int64
+	UpgradeTransactions int64
 }
 
 // System is the shared memory hierarchy of one simulated machine.

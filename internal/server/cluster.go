@@ -68,17 +68,6 @@ func (c *Cluster) URLs() []string {
 	return urls
 }
 
-// IndexOf maps a replica name (e.g. an X-Voltron-Peer header) back to its
-// index, -1 when unknown.
-func (c *Cluster) IndexOf(name string) int {
-	for i, r := range c.replicas {
-		if r.Name == name {
-			return i
-		}
-	}
-	return -1
-}
-
 // Close shuts every replica down concurrently, draining in-flight requests
 // (httptest.Server.Close blocks until outstanding requests finish).
 // Concurrency matters beyond speed: replica A's drain may be blocked on a

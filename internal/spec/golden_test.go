@@ -49,7 +49,6 @@ func TestCanonicalKeyGolden(t *testing.T) {
 				Compiler: CompilerOptions{
 					DSWPThreshold:      0.5,
 					DOALLTripThreshold: -1,
-					MissStallThreshold: 0.25,
 					DisableEBUGWeights: true,
 					ForcePredSend:      true,
 					Select:             "auto",
@@ -64,8 +63,8 @@ func TestCanonicalKeyGolden(t *testing.T) {
 					MeshCols:      4,
 				},
 			},
-			key:     "sha256:4c65479ce28c9fe8bd1bfd331b50416f8df431b2f8fb2a2ec144fcbfc57228a2",
-			compile: "sha256:c1523d25fc04129de4e7c574a7d82293d30487fa95d0386c4251e538da65a7ef",
+			key:     "sha256:c39449d5514e83b63e936c68291b762c59d073ed69bde27231249fd5a11b0660",
+			compile: "sha256:c32240d833e8747856932075728df610279245bd75b6a527be2ad584c12465d2",
 			machine: "cores=8 rs=9 ms=5 qb=7 qh=3 qc=-1 mesh=4",
 		},
 	} {

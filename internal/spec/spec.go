@@ -124,7 +124,6 @@ type JobRequest struct {
 type CompilerOptions struct {
 	DSWPThreshold      float64 `json:"dswp_threshold,omitempty"`
 	DOALLTripThreshold float64 `json:"doall_trip_threshold,omitempty"`
-	MissStallThreshold float64 `json:"miss_stall_threshold,omitempty"`
 	DisableEBUGWeights bool    `json:"disable_ebug_weights,omitempty"`
 	ForcePredSend      bool    `json:"force_pred_send,omitempty"`
 	// Select is the strategy-selection mode: measured|static|auto.
@@ -547,7 +546,6 @@ func (r *JobRequest) CompilerOpts() compiler.Options {
 		Strategy:           s,
 		DSWPThreshold:      r.Compiler.DSWPThreshold,
 		DOALLTripThreshold: r.Compiler.DOALLTripThreshold,
-		MissStallThreshold: r.Compiler.MissStallThreshold,
 		DisableEBUGWeights: r.Compiler.DisableEBUGWeights,
 		ForcePredSend:      r.Compiler.ForcePredSend,
 		Selection:          sel,

@@ -25,6 +25,7 @@ func TestDecodeJobAliases(t *testing.T) {
 		{"aliases", `{"benchmark": "a", "mode": "llp"}`, ErrBadRequest},
 		{"canonical wins", `{"program": {"kind": "bench", "bench": "a"}, "benchmark": "b", "strategy": "llp", "mode": "ilp"}`, ErrBadRequest},
 		{"static selection", `{"program": {"kind": "bench", "bench": "a"}, "compiler": {"static_selection": true}}`, ErrBadRequest},
+		{"miss stall threshold", `{"program": {"kind": "bench", "bench": "a"}, "compiler": {"miss_stall_threshold": 0.25}}`, ErrBadRequest},
 		{"v2 union", `{"program": {"kind": "bench", "bench": "a"}, "strategy": "llp"}`, ""},
 		{"kind-less program", `{"program": {"kernels": [{"kind": "doall-map"}]}, "strategy": "llp"}`, ErrBadSpec},
 	} {
