@@ -124,7 +124,7 @@ func run(args []string, stdout, stderr io.Writer) error {
 	simulate := func(req *spec.JobRequest, tr *trace.Tracer) (*core.CompiledProgram, *core.RunResult, error) {
 		opts := req.CompilerOpts()
 		opts.Profile, opts.Workers = pr, *workers
-		return compiler.CompileRun(context.Background(), p, opts, req.MachineConfig(tr))
+		return compiler.CompileRun(context.Background(), p, opts, core.New(req.MachineConfig(tr)))
 	}
 	baseReq := *req
 	baseReq.Strategy, baseReq.Cores = "serial", 1

@@ -118,7 +118,8 @@ func run(args []string, stdout, stderr io.Writer) error {
 // runSmoke drives a representative request mix through a real listener —
 // repeated jobs for cache hits, concurrent identical jobs for singleflight,
 // an inline program, a figure — and fails unless the mix hit both the
-// result and the compile cache. It is an end-to-end exercise of the full
+// result and the compile cache and a measured compile's claimant took its
+// run from selection's end state. It is an end-to-end exercise of the full
 // serving path; -metricsout writes the final server.MetricsSnapshot, which
 // CI uploads as BENCH_serve.json. Cost comparisons live in perfbench
 // (pooled vs fresh machines as core.reset_* vs core.new_*, the frontend as
@@ -251,14 +252,17 @@ func runSmoke(srv *server.Server, metricsOut string, stdout io.Writer) error {
 	}
 
 	m := srv.Metrics()
-	fmt.Fprintf(stdout, "smoke: %d jobs, %d simulations, cache %d hits / %d misses / %d deduped, compile cache %.0f%% hot, pool %d hits / %d news\n",
-		m.Jobs, m.Simulations, m.CacheHits, m.CacheMisses, m.CacheDeduped,
+	fmt.Fprintf(stdout, "smoke: %d jobs, %d simulations (%d fused), cache %d hits / %d misses / %d deduped, compile cache %.0f%% hot, pool %d hits / %d news\n",
+		m.Jobs, m.Simulations, m.FusedRuns, m.CacheHits, m.CacheMisses, m.CacheDeduped,
 		100*m.CompileCacheHitRatio, m.MachinePoolHits, m.MachinePoolNews)
 	if m.CacheHits == 0 {
 		return fmt.Errorf("smoke: repeated jobs produced no cache hits")
 	}
 	if m.CompileCacheHits == 0 {
 		return fmt.Errorf("smoke: the request mix shared no compiled artifacts")
+	}
+	if m.FusedRuns == 0 {
+		return fmt.Errorf("smoke: no measured compile's claimant ran from selection's end state")
 	}
 
 	if metricsOut == "" {

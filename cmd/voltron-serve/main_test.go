@@ -40,6 +40,9 @@ func TestSmokeMode(t *testing.T) {
 	if m.CompileCacheHits == 0 {
 		t.Error("smoke run shared no compiled artifacts")
 	}
+	if m.FusedRuns == 0 || m.FusedRuns > m.Simulations {
+		t.Errorf("smoke run fused %d of %d simulations, want some", m.FusedRuns, m.Simulations)
+	}
 	if m.Latency["hybrid"].Count == 0 {
 		t.Error("no hybrid latency observations recorded")
 	}

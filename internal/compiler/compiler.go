@@ -169,27 +169,30 @@ func Compile(p *ir.Program, opts Options) (*core.CompiledProgram, error) {
 	return cp, err
 }
 
-// CompileRun compiles p like Compile and simulates the result on a machine
-// configured by cfg. Measured selection simulates on
-// core.DefaultConfig(opts.Cores) machines; when it simulated at least one
-// region and cfg.CanResume that configuration, it has already run the
-// selected program region by region, and CompileRun returns that end state
-// instead of simulating the program again. The result is the same either
-// way. Canceling ctx aborts
-// selection and the run with an error wrapping ctx.Err(); the program is
-// returned whenever compilation succeeded.
-func CompileRun(ctx context.Context, p *ir.Program, opts Options, cfg core.Config) (*core.CompiledProgram, *core.RunResult, error) {
-	cp, res, err := compile(ctx, p, opts, &cfg)
+// CompileRun compiles p like Compile and simulates the result on m, which
+// holds the run afterwards. Measured selection simulates on
+// core.DefaultConfig(opts.Cores) machines; m is the first of them when it
+// has that configuration's shape (the same Cores, Mem and MeshCols, so
+// resetting it keeps its allocations), and is then reset to its own
+// configuration. When selection simulated at least one region and that
+// configuration CanResume the eval one, m resumes the committed checkpoint
+// through the regions after the last measured one: the selected program's
+// complete run, without simulating its measured prefix again. Otherwise m
+// runs the program from the start. The result is the same either way.
+// Canceling ctx aborts selection and the run with an error wrapping
+// ctx.Err(); the program is returned whenever compilation succeeded.
+func CompileRun(ctx context.Context, p *ir.Program, opts Options, m *core.Machine) (*core.CompiledProgram, *core.RunResult, error) {
+	cp, res, err := compile(ctx, p, opts, m)
 	if err != nil || res != nil {
 		return cp, res, err
 	}
-	res, err = core.New(cfg).RunContext(ctx, cp)
+	res, err = m.RunContext(ctx, cp)
 	return cp, res, err
 }
 
-// compile lowers p. With a final machine configuration it also returns the
+// compile lowers p. Given the caller's machine it also returns the
 // selected program's run on it, when measured selection can provide one.
-func compile(ctx context.Context, p *ir.Program, opts Options, final *core.Config) (*core.CompiledProgram, *core.RunResult, error) {
+func compile(ctx context.Context, p *ir.Program, opts Options, final *core.Machine) (*core.CompiledProgram, *core.RunResult, error) {
 	opts, err := prepare(p, opts, "compile")
 	if err != nil {
 		return nil, nil, err

@@ -95,7 +95,7 @@ func TestFusedRunMatchesFreshRun(t *testing.T) {
 			if fused := checkFused(t, p, c.opts, c.cfg); fused != c.fuse {
 				t.Errorf("%s: fused %v, want %v", c.name, fused, c.fuse)
 			}
-			cp, res, err := CompileRun(context.Background(), p, c.opts, c.cfg)
+			cp, res, err := CompileRun(context.Background(), p, c.opts, core.New(c.cfg))
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -112,7 +112,7 @@ func TestFusedRunMatchesFreshRun(t *testing.T) {
 func checkFused(t *testing.T, p *ir.Program, opts Options, cfg core.Config) bool {
 	t.Helper()
 	id := fmt.Sprintf("%s %v/%d %v", p.Name, opts.Strategy, opts.Cores, opts.Selection)
-	cp, res, err := compile(context.Background(), p, opts, &cfg)
+	cp, res, err := compile(context.Background(), p, opts, core.New(cfg))
 	if err != nil {
 		t.Fatalf("%s: %v", id, err)
 	}

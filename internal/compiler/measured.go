@@ -48,8 +48,9 @@ import (
 //   - the eval machines are default machines that keep full stats, so
 //     resuming the last committed checkpoint through the regions after the
 //     last measured one yields the selected program's complete run.
-//     CompileRun returns that end state instead of simulating the program
-//     again.
+//     CompileRun's machine serves as worker 0 when it has the default
+//     shape, and holds that end state afterwards instead of simulating the
+//     program again.
 
 // maxCandidatesPerRegion bounds the simulations one region's barrier can
 // overlap, and so the machines one compile builds. A region has at most
@@ -105,9 +106,9 @@ func (pl *regionPlan) lowering(c Choice) *core.CompiledRegion {
 // later picks before measuring is safe: a candidate run stops after its
 // region, so later regions cannot change its time.
 //
-// With a final configuration it also returns the selected program's run
-// on it, when measureRegions can provide one (see CompileRun).
-func compileSelected(ctx context.Context, p *ir.Program, opts Options, final *core.Config) (*core.CompiledProgram, *core.RunResult, error) {
+// Given the caller's machine it also returns the selected program's run on
+// it, when measureRegions can provide one (see CompileRun).
+func compileSelected(ctx context.Context, p *ir.Program, opts Options, final *core.Machine) (*core.CompiledProgram, *core.RunResult, error) {
 	plans, err := planRegions(p, opts)
 	if err != nil {
 		return nil, nil, err
@@ -163,16 +164,18 @@ func compileSelected(ctx context.Context, p *ir.Program, opts Options, final *co
 // the list is empty. Canceling ctx aborts it with an error wrapping
 // ctx.Err().
 //
-// When final is non-nil and a machine configured by it can resume the eval
-// machines' checkpoints, it also returns the selected program's run on
-// such a machine: the committed checkpoint, resumed through the regions
-// after the last measured one. The result is nil when the committed state
-// or that resume failed; a fresh run then reports why.
-func measureRegions(ctx context.Context, opts Options, cp *core.CompiledProgram, plans []*regionPlan, idx []int, final *core.Config) ([]Choice, *core.RunResult, error) {
+// A non-nil final is the caller's machine. It serves as worker 0 when it
+// has the eval shape and is reset to its own configuration before
+// measureRegions returns. When that configuration can resume the eval
+// machines' checkpoints, measureRegions also returns the selected
+// program's run on final: the committed checkpoint, resumed through the
+// regions after the last measured one. The result is nil when the
+// committed state or that resume failed; a fresh run then reports why.
+func measureRegions(ctx context.Context, opts Options, cp *core.CompiledProgram, plans []*regionPlan, idx []int, final *core.Machine) ([]Choice, *core.RunResult, error) {
 	if len(idx) == 0 {
 		return nil, nil, nil
 	}
-	pool := newEvalPool(opts, cp)
+	pool := newEvalPool(opts, cp, final)
 	defer pool.release()
 	choices := make([]Choice, len(idx))
 	for k, i := range idx {
@@ -181,11 +184,11 @@ func measureRegions(ctx context.Context, opts Options, cp *core.CompiledProgram,
 			return nil, nil, fmt.Errorf("%s: measured selection: %w", cp.Name, err)
 		}
 	}
-	if final == nil || !final.CanResume(pool.cfg) || pool.failed {
+	m := pool.final
+	if m == nil || !pool.finalCfg.CanResume(pool.cfg) || pool.failed {
 		return choices, nil, nil
 	}
-	m := pool.workers[0].machine
-	m.Reset(*final)
+	pool.restore()
 	// A failed resume returns no result; the caller's fresh run reports why.
 	res, _ := m.ResumeContext(ctx, pool.committed, cp)
 	return choices, res, nil
@@ -296,6 +299,10 @@ type evalPool struct {
 	// cfg configures every worker's machine.
 	cfg     core.Config
 	workers []*evalWorker
+	// final is the caller's machine while worker 0 borrows it, and
+	// finalCfg its own configuration, reinstated by restore.
+	final    *core.Machine
+	finalCfg core.Config
 	// committed is the machine state after the first at regions of the
 	// background (nil while at is 0: candidate runs start from scratch).
 	// failed records that a committed region could not be passed.
@@ -312,12 +319,26 @@ type evalWorker struct {
 	bg      *core.CompiledProgram
 }
 
-func newEvalPool(opts Options, cp *core.CompiledProgram) *evalPool {
+// newEvalPool builds the workers for selecting cp. Worker 0 borrows final
+// when it has the eval shape — the same Cores, Mem and MeshCols, so that
+// Reset keeps its allocations — and every other worker builds a machine.
+func newEvalPool(opts Options, cp *core.CompiledProgram, final *core.Machine) *evalPool {
 	n := min(max(opts.Workers, 1), maxCandidatesPerRegion)
 	pool := &evalPool{cfg: core.DefaultConfig(cp.Cores), workers: make([]*evalWorker, n)}
+	if final != nil {
+		c := final.Config()
+		if c.Cores == pool.cfg.Cores && c.Mem == pool.cfg.Mem && c.MeshCols == pool.cfg.MeshCols {
+			pool.final, pool.finalCfg = final, c
+			final.Reset(pool.cfg)
+		}
+	}
 	for w := range pool.workers {
+		m := pool.final
+		if w > 0 || m == nil {
+			m = core.New(pool.cfg)
+		}
 		pool.workers[w] = &evalWorker{
-			machine: core.New(pool.cfg),
+			machine: m,
 			bg: &core.CompiledProgram{
 				Name: cp.Name, Cores: cp.Cores, Src: cp.Src,
 				Regions: append([]*core.CompiledRegion(nil), cp.Regions...),
@@ -433,8 +454,19 @@ func (p *evalPool) commit(region int, cr *core.CompiledRegion, k int) {
 // reallocate per compile.
 var checkpoints = sync.Pool{New: func() any { return new(core.Checkpoint) }}
 
-// release returns the pool's checkpoints for reuse by later compiles.
+// restore resets the borrowed caller's machine, if any, to its own
+// configuration and ends the loan.
+func (p *evalPool) restore() {
+	if p.final != nil {
+		p.final.Reset(p.finalCfg)
+		p.final = nil
+	}
+}
+
+// release ends the loan of the caller's machine and returns the pool's
+// checkpoints for reuse by later compiles.
 func (p *evalPool) release() {
+	p.restore()
 	if p.committed != nil {
 		checkpoints.Put(p.committed)
 	}

@@ -259,7 +259,7 @@ func checkPrefixRuns(t *testing.T, p *ir.Program, opts Options, plans []*regionP
 		cp.Regions[i] = pl.lowering(ChoseLLP)
 	}
 	ctx := context.Background()
-	pool := newEvalPool(opts, cp)
+	pool := newEvalPool(opts, cp, nil)
 	defer pool.release()
 	full := core.New(core.DefaultConfig(opts.Cores))
 	var out replay
@@ -312,7 +312,7 @@ func TestMeasuredSelectionCancel(t *testing.T) {
 	const after = 3
 	pc := &pollCanceler{Context: ctx, cancel: cancel, after: after}
 	start := time.Now()
-	_, _, err := CompileRun(pc, p, Options{Cores: 64, Strategy: Hybrid}, core.DefaultConfig(64))
+	_, _, err := CompileRun(pc, p, Options{Cores: 64, Strategy: Hybrid}, core.New(core.DefaultConfig(64)))
 	elapsed := time.Since(start)
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("canceled compile returned %v, want an error wrapping context.Canceled", err)

@@ -110,6 +110,10 @@ func New(cfg Config) *Machine {
 	return &Machine{cfg: cfg, top: topologyOf(cfg)}
 }
 
+// Config returns the machine's configuration: the one it was built or
+// last reset with, less any tracer a finished run has dropped.
+func (m *Machine) Config() Config { return m.cfg }
+
 // topologyOf resolves a config's mesh arrangement: the paper's near-square
 // default, or a fixed column count when the mesh-shape knob is set.
 func topologyOf(cfg Config) xnet.Topology {

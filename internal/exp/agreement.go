@@ -180,13 +180,13 @@ func (s *Suite) agreeProgram(name string, build func() (*ir.Program, *prof.Profi
 	aopts := opts
 	aopts.Selection = compiler.SelectAuto
 	aopts.SelectThreshold = s.SelectThreshold
-	acp, ares, err := compiler.CompileRun(context.Background(), p, aopts, core.DefaultConfig(agreementCores))
+	acp, ares, err := compiler.CompileRun(context.Background(), p, aopts, core.New(core.DefaultConfig(agreementCores)))
 	if err != nil {
 		return nil, fmt.Errorf("%s: auto: %w", name, err)
 	}
 	serialOpts := opts
 	serialOpts.Strategy = compiler.Serial
-	_, sres, err := compiler.CompileRun(context.Background(), p, serialOpts, core.DefaultConfig(agreementCores))
+	_, sres, err := compiler.CompileRun(context.Background(), p, serialOpts, core.New(core.DefaultConfig(agreementCores)))
 	if err != nil {
 		return nil, fmt.Errorf("%s: serial: %w", name, err)
 	}

@@ -246,7 +246,7 @@ func (s *Suite) Run(bench string, strat compiler.Strategy, cores int) (*core.Run
 		_, res, err := compiler.CompileRun(context.Background(), p, compiler.Options{
 			Cores: cores, Strategy: strat, Profile: pr, Workers: s.workers(),
 			Selection: s.Select, SelectThreshold: s.SelectThreshold,
-		}, core.DefaultConfig(cores))
+		}, core.New(core.DefaultConfig(cores)))
 		if err != nil {
 			return nil, fmt.Errorf("%s/%v/%d: %w", bench, strat, cores, err)
 		}

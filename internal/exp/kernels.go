@@ -173,6 +173,6 @@ func Fig7to9() ([]KernelResult, error) {
 // runProgram compiles and simulates an ad-hoc program.
 func runProgram(p *ir.Program, strat compiler.Strategy, cores int) (*core.RunResult, error) {
 	_, res, err := compiler.CompileRun(context.Background(), p,
-		compiler.Options{Cores: cores, Strategy: strat}, core.DefaultConfig(cores))
+		compiler.Options{Cores: cores, Strategy: strat}, core.New(core.DefaultConfig(cores)))
 	return res, err
 }

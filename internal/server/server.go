@@ -127,11 +127,13 @@ type Server struct {
 	errorsN       stats.Counter
 	canceled      stats.Counter
 	// Worker slots: runs waiting for a slot and runs executing (gauges),
-	// and simulations completed.
-	queued  stats.Counter
-	running stats.Counter
-	runs    stats.Counter
-	latency map[string]*stats.Histogram
+	// simulations completed, and those a compile claimant took from
+	// measured selection's end state.
+	queued    stats.Counter
+	running   stats.Counter
+	runs      stats.Counter
+	fusedRuns stats.Counter
+	latency   map[string]*stats.Histogram
 }
 
 // New creates a Server.
@@ -293,6 +295,10 @@ type MetricsSnapshot struct {
 	MachinePoolNews   int64 `json:"machine_pool_news"`
 	MachinePoolIdle   int   `json:"machine_pool_idle"`
 	BatchedRuns       int64 `json:"batched_runs"`
+	// FusedRuns counts simulations a compile claimant served from measured
+	// selection's end state instead of running the selected program again;
+	// each is also one of Simulations.
+	FusedRuns int64 `json:"fused_runs_total"`
 	// Tiered strategy selection over all compiles this process ran: regions
 	// the classifier decided without simulation, regions it escalated to
 	// measured selection, and regions re-selected because a traced run's
@@ -346,6 +352,7 @@ func (s *Server) Metrics() MetricsSnapshot {
 		MachinePoolResets:    s.pool.resets.Value(),
 		MachinePoolNews:      s.pool.news.Value(),
 		MachinePoolIdle:      s.pool.size(),
+		FusedRuns:            s.fusedRuns.Value(),
 		SelectStatic:         s.selectStatic.Value(),
 		SelectEscalated:      s.selectEscalated.Value(),
 		SelectReselected:     s.selectRechecks.Value(),
@@ -831,10 +838,12 @@ func (s *Server) runJob(ctx context.Context, req *spec.JobRequest, key string) (
 // simulate runs one normalized job through the two-stage pipeline. Stage
 // one resolves the compiled artifact by spec.CompileKey — trace variants,
 // machine-latency ablations and baseline comparisons of the same program ×
-// strategy share one compiler.Compile, deduplicated in flight and cached
-// across jobs. Stage two executes the artifact on a pooled warm machine
-// under a bounded worker slot (run); waiting for either stage respects
-// ctx, so a canceled request never occupies (or leaks) a slot.
+// strategy share one compile, deduplicated in flight and cached across
+// jobs. The request that claims a compile runs it fused with its own
+// simulation (claim); a compile-cache hit or a dedup waiter executes the
+// shared artifact on a pooled warm machine under a bounded worker slot
+// (run). Waiting for any slot respects ctx, so a canceled request never
+// occupies (or leaks) a slot.
 // When the request asks for a trace, the returned tracer holds the run's
 // event stream. The returned cacheStatus says how stage one was satisfied
 // and the string how strategy selection decided the artifact
@@ -844,18 +853,26 @@ func (s *Server) simulate(ctx context.Context, req *spec.JobRequest) (*core.RunR
 	if err != nil {
 		return nil, nil, cacheMiss, "", err
 	}
+	var tr *trace.Tracer
+	if req.Trace {
+		tr = trace.New()
+	}
 
 	ckey := req.CompileKey()
+	// The claimant's run is its own: the cache holds only the artifact,
+	// never the end state and its memory image. A failed run still caches
+	// a successful compile.
+	var (
+		res    *core.RunResult
+		runErr error
+	)
 	cp, cstat, err := s.artifacts.get(ctx, ckey, func() (*core.CompiledProgram, error) {
-		select {
-		case s.compileSem <- struct{}{}:
-		case <-ctx.Done():
-			return nil, fmt.Errorf("waiting for a compile slot: %w", ctx.Err())
+		cp, r, err := s.claim(ctx, req, p, pr, tr)
+		if cp == nil {
+			return nil, err
 		}
-		defer func() { <-s.compileSem }()
-		opts := req.CompilerOpts()
-		opts.Profile = pr // nil for inline programs: the compiler profiles them
-		return compiler.Compile(p, opts)
+		res, runErr = r, err
+		return cp, nil
 	})
 	s.compiles[cstat].Inc()
 	if err != nil {
@@ -864,17 +881,14 @@ func (s *Server) simulate(ctx context.Context, req *spec.JobRequest) (*core.RunR
 	if cstat == cacheMiss {
 		s.selectStatic.Add(int64(cp.Selection.Static))
 		s.selectEscalated.Add(int64(cp.Selection.Escalated))
+	} else {
+		if err := ctx.Err(); err != nil { // the artifact arrived after cancellation
+			return nil, nil, cstat, cp.Selection.Mode, err
+		}
+		res, runErr = s.run(ctx, req, cp, tr)
 	}
-	if err := ctx.Err(); err != nil { // compile finished after cancellation
-		return nil, nil, cstat, cp.Selection.Mode, err
-	}
-	var tr *trace.Tracer
-	if req.Trace {
-		tr = trace.New()
-	}
-	res, err := s.run(ctx, req, cp, tr)
-	if err != nil {
-		return nil, nil, cstat, cp.Selection.Mode, err
+	if runErr != nil {
+		return nil, nil, cstat, cp.Selection.Mode, runErr
 	}
 	if tr != nil && cstat == cacheMiss && req.Compiler.Select == "auto" && cp.Selection.Static > 0 {
 		// Stall-report feedback (the online agreement check): the request
@@ -893,6 +907,37 @@ func (s *Server) simulate(ctx context.Context, req *spec.JobRequest) (*core.RunR
 		}
 	}
 	return res, tr, cstat, cp.Selection.Mode, nil
+}
+
+// claim compiles and runs the job whose request claimed its compile key,
+// holding a compile slot and then a worker slot (nothing takes them in the
+// other order) and one pooled machine. compiler.CompileRun runs measured
+// selection on that machine and leaves the selected program's run on it,
+// so a compile that measured a region does not simulate its program a
+// second time. The program is returned whenever compilation succeeded,
+// even when the run failed; canceling ctx aborts selection too.
+func (s *Server) claim(ctx context.Context, req *spec.JobRequest, p *ir.Program, pr *prof.Profile,
+	tr *trace.Tracer) (*core.CompiledProgram, *core.RunResult, error) {
+	select {
+	case s.compileSem <- struct{}{}:
+	case <-ctx.Done():
+		return nil, nil, fmt.Errorf("waiting for a compile slot: %w", ctx.Err())
+	}
+	defer func() { <-s.compileSem }()
+	opts := req.CompilerOpts()
+	opts.Profile = pr // nil for inline programs: the compiler profiles them
+	var cp *core.CompiledProgram
+	res, err := s.onMachine(ctx, req, tr, func(m *core.Machine) (res *core.RunResult, err error) {
+		// CompileRun fuses exactly when selection measured a region and the
+		// machine's own configuration can resume the eval machines'.
+		cfg := m.Config()
+		cp, res, err = compiler.CompileRun(ctx, p, opts, m)
+		if err == nil && cp.Selection.Measured+cp.Selection.Escalated > 0 && cfg.CanResume(core.DefaultConfig(cp.Cores)) {
+			s.fusedRuns.Inc()
+		}
+		return res, err
+	})
+	return cp, res, err
 }
 
 // recheck runs compiler.Recheck under a compile slot (re-selection
@@ -927,12 +972,23 @@ func (s *Server) recheck(ctx context.Context, req *spec.JobRequest, p *ir.Progra
 }
 
 // run executes a compiled artifact on a warm machine from the pool under
-// one of the Workers slots. Waiting for the slot respects ctx, so a
-// canceled request never occupies one; once running, the canceled ctx is
-// threaded into the simulator, which fails fast. There are no standing
-// worker goroutines: every run executes on its request handler's
-// goroutine, so draining HTTP handlers drains the slots and nothing leaks.
+// one of the Workers slots (onMachine).
 func (s *Server) run(ctx context.Context, req *spec.JobRequest, cp *core.CompiledProgram, tr *trace.Tracer) (*core.RunResult, error) {
+	return s.onMachine(ctx, req, tr, func(m *core.Machine) (*core.RunResult, error) {
+		return m.RunContext(ctx, cp)
+	})
+}
+
+// onMachine calls sim on a warm machine from the pool, configured for req
+// and traced by tr, under one of the Workers slots, and counts one
+// simulation. Waiting for the slot respects ctx, so a canceled request
+// never occupies one; once running, the canceled ctx is threaded into the
+// simulator, which fails fast. A machine whose simulation panicked is not
+// pooled again. There are no standing worker goroutines: every
+// simulation executes on its request handler's goroutine, so draining
+// HTTP handlers drains the slots and nothing leaks.
+func (s *Server) onMachine(ctx context.Context, req *spec.JobRequest, tr *trace.Tracer,
+	sim func(*core.Machine) (*core.RunResult, error)) (*core.RunResult, error) {
 	s.queued.Add(1)
 	select {
 	case s.runSem <- struct{}{}:
@@ -949,7 +1005,7 @@ func (s *Server) run(ctx context.Context, req *spec.JobRequest, cp *core.Compile
 	}()
 	key := req.MachineKey()
 	m := s.pool.get(key, req.MachineConfig(tr))
-	res, err := m.RunContext(ctx, cp)
+	res, err := sim(m)
 	s.pool.put(key, m)
 	return res, err
 }
