@@ -226,8 +226,9 @@ const recheckStallFraction = 0.5
 // committed program. It returns the corrected program and the indices of
 // the re-selected regions; when nothing is contradicted the input program
 // is returned unchanged with a nil index list. cp must be a program
-// compiled from p with selection metadata (auto or static mode).
-func Recheck(p *ir.Program, cp *core.CompiledProgram, rep *trace.Report, opts Options) (*core.CompiledProgram, []int, error) {
+// compiled from p with selection metadata (auto or static mode). Canceling
+// ctx aborts the re-measurement with an error wrapping ctx.Err().
+func Recheck(ctx context.Context, p *ir.Program, cp *core.CompiledProgram, rep *trace.Report, opts Options) (*core.CompiledProgram, []int, error) {
 	var suspect []int
 	for i, sel := range cp.Selection.Regions {
 		if sel.Tier != TierEasy.String() || i >= len(rep.Regions) {
@@ -260,7 +261,7 @@ func Recheck(p *ir.Program, cp *core.CompiledProgram, rep *trace.Report, opts Op
 	out.Selection.Static -= len(suspect)
 	out.Selection.Escalated += len(suspect)
 	out.Selection.Regions = append([]core.RegionSelection(nil), cp.Selection.Regions...)
-	choices, _, err := measureRegions(context.Background(), opts, out, plans, suspect, nil)
+	choices, _, err := measureRegions(ctx, opts, out, plans, suspect, nil)
 	if err != nil {
 		return nil, nil, err
 	}

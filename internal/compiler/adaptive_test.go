@@ -1,6 +1,7 @@
 package compiler
 
 import (
+	"context"
 	"math"
 	"reflect"
 	"testing"
@@ -323,7 +324,7 @@ func TestRecheck(t *testing.T) {
 	for i, r := range p.Regions {
 		clean.Regions[i] = trace.RegionReport{Name: r.Name, Cycles: map[string]int64{stats.Busy.String(): 100}}
 	}
-	same, idx, err := Recheck(p, cp, clean, opts)
+	same, idx, err := Recheck(context.Background(), p, cp, clean, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -351,7 +352,7 @@ func TestRecheck(t *testing.T) {
 		Name:   p.Regions[target].Name,
 		Cycles: map[string]int64{stats.Busy.String(): 10, over: 90},
 	}
-	out, idx, err := Recheck(p, cp, poisoned, opts)
+	out, idx, err := Recheck(context.Background(), p, cp, poisoned, opts)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -13,6 +13,8 @@ import (
 	"voltron/internal/ir"
 	"voltron/internal/isa"
 	"voltron/internal/prof"
+	"voltron/internal/stats"
+	"voltron/internal/trace"
 	"voltron/internal/workload"
 )
 
@@ -324,6 +326,47 @@ func TestMeasuredSelectionCancel(t *testing.T) {
 	}
 	if polls > after+8 || elapsed > 10*time.Second {
 		t.Errorf("canceled compile took %v and %d more polls to return", elapsed, polls-after)
+	}
+}
+
+// TestRecheckCancel cancels a stall-report recheck from inside one of its
+// candidate runs, as TestMeasuredSelectionCancel does for a compile:
+// Recheck must return an error wrapping context.Canceled within a few
+// cancellation polls. The 64-core program's one region is decided
+// statically (fine-grain TLP), and a fabricated report contradicts it.
+func TestRecheckCancel(t *testing.T) {
+	p := progStrands(1 << 14)
+	opts := Options{Cores: 64, Strategy: ForceFTLP, Selection: SelectStatic}
+	cp, err := Compile(p, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sel := cp.Selection.Regions[0]
+	over := map[string]string{ChoseILP.String(): stats.DStall.String(), ChoseFTLP.String(): stats.SendStall.String()}[sel.Choice]
+	if sel.Tier != TierEasy.String() || over == "" {
+		t.Fatalf("region 0 selected %s/%s, want a static parallel pick to contradict", sel.Tier, sel.Choice)
+	}
+	rep := &trace.Report{Regions: []trace.RegionReport{{
+		Name:   p.Regions[0].Name,
+		Cycles: map[string]int64{stats.Busy.String(): 10, over: 90},
+	}}}
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	const after = 3
+	pc := &pollCanceler{Context: ctx, cancel: cancel, after: after}
+	start := time.Now()
+	_, _, err = Recheck(pc, p, cp, rep, opts)
+	elapsed := time.Since(start)
+	if !errors.Is(err, context.Canceled) {
+		t.Fatalf("canceled recheck returned %v, want an error wrapping context.Canceled", err)
+	}
+	polls := pc.polls.Load()
+	t.Logf("returned after %v, %d polls after the cancellation", elapsed, polls-after)
+	if polls < after {
+		t.Fatalf("the recheck polled %d times, cancellation never fired", polls)
+	}
+	if polls > after+8 || elapsed > 10*time.Second {
+		t.Errorf("canceled recheck took %v and %d more polls to return", elapsed, polls-after)
 	}
 }
 

@@ -2,6 +2,7 @@ package compiler
 
 import (
 	"bytes"
+	"context"
 	"crypto/sha256"
 	"encoding/binary"
 	"encoding/hex"
@@ -108,7 +109,7 @@ func selectionRecord(t *testing.T, p *ir.Program, opts Options) []byte {
 	if _, err := core.New(cfg).Run(cp); err != nil {
 		t.Fatalf("%v/%d: traced run: %v", opts.Strategy, opts.Cores, err)
 	}
-	out, idx, err := Recheck(p, cp, cfg.Tracer.Report(), opts)
+	out, idx, err := Recheck(context.Background(), p, cp, cfg.Tracer.Report(), opts)
 	if err != nil {
 		return appendString(buf, "recheck error: "+err.Error())
 	}

@@ -168,7 +168,8 @@ func TestTracedJob(t *testing.T) {
 // TestTraceEviction: the trace blob store is bounded; once evicted, the
 // trace URL 404s (the job response itself stays cached).
 func TestTraceEviction(t *testing.T) {
-	_, ts := newTestServer(t, Config{TraceEntries: 1})
+	s, ts := newTestServer(t, Config{})
+	s.traces = newLRU[string, []byte](1)
 	job := func(n int64) string {
 		return `{"program": {"kind": "kernels", "name": "e", "kernels": [{"kind": "serial-chain", "name": "c", "n": ` +
 			strconv.FormatInt(n, 10) + `}]}, "strategy": "serial", "cores": 1, "trace": true}`

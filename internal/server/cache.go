@@ -131,32 +131,6 @@ func (c *sfCache[V]) compute(key string, fn func() (V, error)) (val V, err error
 	return fn()
 }
 
-// replace swaps the completed value cached under key for a new one (the
-// stall-report feedback loop re-selects compiled artifacts after they were
-// cached). The old entry is removed and a fresh completed entry inserted —
-// dedup waiters may still be reading the old entry's fields after its done
-// channel closed, so a cached entry is never mutated in place. An in-flight
-// entry is left alone: its claimant will install its own result.
-func (c *sfCache[V]) replace(key string, val V) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if old, ok := c.entries[key]; ok {
-		if old.elem == nil {
-			return // in flight; never race the claimant
-		}
-		c.lru.Remove(old.elem)
-		delete(c.entries, key)
-	}
-	e := &sfEntry[V]{key: key, done: make(chan struct{}), val: val}
-	close(e.done)
-	e.elem = c.lru.PushFront(e)
-	c.entries[key] = e
-	for c.lru.Len() > c.max {
-		old := c.lru.Remove(c.lru.Back()).(*sfEntry[V])
-		delete(c.entries, old.key)
-	}
-}
-
 // completed returns the value cached under key when its computation has
 // completed, marking it most recently used. It never claims or waits: a
 // missing or in-flight entry reports false.

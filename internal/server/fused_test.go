@@ -117,7 +117,7 @@ func TestFusedClaimantMatchesCompileHit(t *testing.T) {
 // TestClaimantCancelFreesSlots cancels a 64-core hybrid job while its
 // claimant is in measured selection, on a one-worker server. The handler
 // must answer canceled promptly, the job queued behind it must then get
-// both slots, the gauges must return to 0, and the canceled compile must
+// the worker slot, the gauges must return to 0, and the canceled compile must
 // not be cached: the same job, sent again, compiles and succeeds.
 func TestClaimantCancelFreesSlots(t *testing.T) {
 	s := New(Config{Workers: 1})
@@ -150,7 +150,7 @@ func TestClaimantCancelFreesSlots(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
 	slowDone := serve(ctx, slow)
-	// InFlight reaches 1 once the claimant holds both slots and its machine.
+	// InFlight reaches 1 once the claimant holds the slot and its machine.
 	deadline := time.Now().Add(10 * time.Second)
 	for s.Metrics().InFlight != 1 {
 		if time.Now().After(deadline) {
@@ -162,7 +162,7 @@ func TestClaimantCancelFreesSlots(t *testing.T) {
 	time.Sleep(50 * time.Millisecond) // into selection: profiling takes milliseconds
 	select {
 	case rec := <-queuedDone:
-		t.Fatalf("the queued job finished (status %d) while the claimant held both slots", rec.Code)
+		t.Fatalf("the queued job finished (status %d) while the claimant held the slot", rec.Code)
 	default:
 	}
 	cancel()

@@ -1,16 +1,17 @@
 package server
 
 import (
-	"context"
+	"bytes"
 	"encoding/json"
+	"io"
 	"net/http"
 	"strings"
+	"sync"
 	"testing"
 )
 
 // The tiered-selection surface: the X-Voltron-Select header, the /metrics
-// per-tier counters, the traced-auto recheck path, and the artifact-cache
-// replace primitive the feedback loop depends on.
+// per-tier counters and the traced-auto recheck path.
 
 // autoJob is tinyJob compiled under tiered selection.
 func autoJob() string {
@@ -75,7 +76,7 @@ func TestSelectHeaderAndCounters(t *testing.T) {
 }
 
 // TestTracedAutoJobRecheck drives the stall-report feedback trigger: a
-// traced auto job runs the recheck after its fresh compile. The tiny
+// traced auto job runs the recheck after its run. The tiny
 // program's picks are not contradicted, so nothing is re-selected — the
 // point is that the trigger path completes and the counter stays exact.
 func TestTracedAutoJobRecheck(t *testing.T) {
@@ -94,61 +95,71 @@ func TestTracedAutoJobRecheck(t *testing.T) {
 	if m.SelectReselected != 0 {
 		t.Errorf("select_reselected_total = %d, want 0 (nothing contradicted)", m.SelectReselected)
 	}
-	// The artifact stayed cached under its key: a repeat is a hit and the
-	// recheck does not run again.
+	// A repeat is a result-cache hit: the recheck does not run again.
 	resp, _ = postJob(t, ts, traced)
 	if resp.Header.Get("X-Voltron-Cache") != "hit" {
 		t.Error("repeat of traced auto job missed the result cache")
 	}
 }
 
-// TestCacheReplace covers the primitive the feedback loop uses to swap a
-// re-selected artifact into the compile cache.
-func TestCacheReplace(t *testing.T) {
-	ctx := context.Background()
-	c := newSFCache[string](2)
-
-	// Replace of a completed entry: later reads see the new value as a hit.
-	if _, _, err := c.get(ctx, "k", func() (string, error) { return "old", nil }); err != nil {
-		t.Fatal(err)
+// TestBodiesIndependentOfArrivalOrder: a traced auto job whose stall
+// report re-selects a region answers with the re-selected program's run,
+// and the untraced twin that shares its compile answers with the compiled
+// one, whichever of the two arrives first. Two fresh servers get the pair
+// in opposite orders; each job's body must be byte-identical across them,
+// and both servers must have re-selected. A third gets the pair and a
+// traced baseline twin at once, so two rechecks read the shared artifact
+// concurrently; its bodies must match too.
+func TestBodiesIndependentOfArrivalOrder(t *testing.T) {
+	const plain = `{"program": {"kind": "bench", "bench": "gsmdecode"}, "strategy": "ilp", "cores": 4, "compiler": {"select": "auto"}}`
+	traced := strings.Replace(plain, `}}`, `}, "trace": true}`, 1)
+	bodies := func(order ...string) (map[string][]byte, MetricsSnapshot) {
+		_, ts := newTestServer(t, Config{})
+		out := map[string][]byte{}
+		for _, job := range order {
+			resp, b := postJob(t, ts, job)
+			if resp.StatusCode != http.StatusOK {
+				t.Fatalf("status = %d, body %s", resp.StatusCode, b)
+			}
+			out[job] = b
+		}
+		return out, metricsOf(t, ts.URL)
 	}
-	c.replace("k", "new")
-	v, st, err := c.get(ctx, "k", func() (string, error) { return "recomputed", nil })
-	if err != nil || st != cacheHit || v != "new" {
-		t.Errorf("after replace: got %q/%v/%v, want new/hit/nil", v, st, err)
+	a, ma := bodies(plain, traced)
+	b, mb := bodies(traced, plain)
+	for _, job := range []string{plain, traced} {
+		if !bytes.Equal(a[job], b[job]) {
+			t.Errorf("%s\nplain first: %s\ntraced first: %s", job, a[job], b[job])
+		}
 	}
-
-	// Replace of an absent key inserts it.
-	c.replace("fresh", "v")
-	if v, st, _ := c.get(ctx, "fresh", func() (string, error) { return "x", nil }); st != cacheHit || v != "v" {
-		t.Errorf("replace on absent key: got %q/%v, want v/hit", v, st)
-	}
-
-	// Replace of an in-flight entry is a no-op: the claimant's result wins.
-	claim := make(chan struct{})
-	release := make(chan struct{})
-	done := make(chan struct{})
-	go func() {
-		defer close(done)
-		c.get(ctx, "flight", func() (string, error) {
-			close(claim)
-			<-release
-			return "claimant", nil
-		})
-	}()
-	<-claim
-	c.replace("flight", "intruder")
-	close(release)
-	<-done
-	if v, st, _ := c.get(ctx, "flight", func() (string, error) { return "x", nil }); st != cacheHit || v != "claimant" {
-		t.Errorf("in-flight replace: got %q/%v, want claimant/hit", v, st)
+	if ma.SelectReselected == 0 || mb.SelectReselected == 0 {
+		t.Errorf("select_reselected_total = %d (plain first), %d (traced first), want > 0 on both",
+			ma.SelectReselected, mb.SelectReselected)
 	}
 
-	// The LRU bound still holds through replaces.
-	c.replace("a", "1")
-	c.replace("b", "2")
-	c.replace("c", "3")
-	if n := c.len(); n > 2 {
-		t.Errorf("cache grew past its bound: %d entries, max 2", n)
+	_, ts := newTestServer(t, Config{})
+	jobs := []string{plain, traced, strings.Replace(traced, `"trace": true`, `"trace": true, "baseline": true`, 1)}
+	c := make([][]byte, len(jobs))
+	var wg sync.WaitGroup
+	for i, job := range jobs {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			resp, err := http.Post(ts.URL+"/v1/jobs", "application/json", strings.NewReader(job))
+			if err != nil {
+				t.Error(err)
+				return
+			}
+			defer resp.Body.Close()
+			if c[i], err = io.ReadAll(resp.Body); err != nil || resp.StatusCode != http.StatusOK {
+				t.Errorf("concurrent job %d: status %d, %v, body %s", i, resp.StatusCode, err, c[i])
+			}
+		}()
+	}
+	wg.Wait()
+	for i, job := range jobs[:2] {
+		if !bytes.Equal(a[job], c[i]) {
+			t.Errorf("%s\nsequential: %s\nconcurrent: %s", job, a[job], c[i])
+		}
 	}
 }

@@ -46,14 +46,6 @@ type Config struct {
 	// RequestTimeout bounds one job (queue wait + compile + simulate).
 	// Defaults to 2 minutes.
 	RequestTimeout time.Duration
-	// TraceEntries bounds the rendered-trace LRU (traces are much larger
-	// than job responses, so they get their own, smaller bound). Defaults
-	// to 32.
-	TraceEntries int
-	// ArtifactEntries bounds the compile-artifact LRU: compiled programs
-	// cached by spec.CompileKey and shared across trace variants, machine
-	// ablations and baseline runs of the same program. Defaults to 64.
-	ArtifactEntries int
 	// Self names this replica on the cluster's consistent-hash ring. Empty
 	// with no Peers means single-replica operation.
 	Self string
@@ -79,6 +71,15 @@ type Config struct {
 	Suite *exp.Suite
 }
 
+// The bounds of the server's two artifact stores: compiled programs cached
+// by spec.CompileKey (shared across trace variants, machine ablations and
+// baseline runs of one program), and rendered Chrome traces, which dwarf
+// job responses and so get a smaller bound.
+const (
+	artifactEntries = 64
+	traceEntries    = 32
+)
+
 // Server serves compile-and-simulate jobs. Create with New, expose with
 // Handler, stop by shutting down the enclosing http.Server (jobs run
 // synchronously inside handlers, so draining handlers drains jobs).
@@ -92,12 +93,9 @@ type Server struct {
 	// memo maps the SHA-256 of a /v1/jobs body to its normalized content
 	// key, so a result-cache hit skips decode and normalize (handleJob).
 	memo *lru[[sha256.Size]byte, memoEntry]
-	// runSem bounds concurrent simulations (Config.Workers); compileSem
-	// bounds concurrent compilations separately, so a compile cannot starve
-	// runs of the warm machines it feeds.
-	runSem     chan struct{}
-	compileSem chan struct{}
-	start      time.Time
+	// runSem holds one slot per running simulation (Config.Workers).
+	runSem chan struct{}
+	start  time.Time
 	// Cluster state: the consistent-hash ring over the fleet (nil when
 	// single-replica), the peer base URLs by replica name, and the shared
 	// client for peer forwards.
@@ -147,12 +145,6 @@ func New(cfg Config) *Server {
 	if cfg.RequestTimeout <= 0 {
 		cfg.RequestTimeout = 2 * time.Minute
 	}
-	if cfg.TraceEntries <= 0 {
-		cfg.TraceEntries = 32
-	}
-	if cfg.ArtifactEntries <= 0 {
-		cfg.ArtifactEntries = 64
-	}
 	if cfg.PeerTimeout <= 0 {
 		cfg.PeerTimeout = 10 * time.Second
 	}
@@ -170,17 +162,16 @@ func New(cfg Config) *Server {
 		cfg.Suite.Workers = cfg.Workers
 	}
 	s := &Server{
-		cfg:        cfg,
-		suite:      cfg.Suite,
-		cache:      newCache(cfg.CacheEntries),
-		artifacts:  newSFCache[*core.CompiledProgram](cfg.ArtifactEntries),
-		traces:     newLRU[string, []byte](cfg.TraceEntries),
-		memo:       newLRU[[sha256.Size]byte, memoEntry](cfg.CacheEntries),
-		pool:       newMachinePool(cfg.Workers),
-		runSem:     make(chan struct{}, cfg.Workers),
-		compileSem: make(chan struct{}, cfg.Workers),
-		start:      time.Now(),
-		latency:    map[string]*stats.Histogram{},
+		cfg:       cfg,
+		suite:     cfg.Suite,
+		cache:     newCache(cfg.CacheEntries),
+		artifacts: newSFCache[*core.CompiledProgram](artifactEntries),
+		traces:    newLRU[string, []byte](traceEntries),
+		memo:      newLRU[[sha256.Size]byte, memoEntry](cfg.CacheEntries),
+		pool:      newMachinePool(cfg.Workers),
+		runSem:    make(chan struct{}, cfg.Workers),
+		start:     time.Now(),
+		latency:   map[string]*stats.Histogram{},
 	}
 	s.adm = newAdmission(cfg.AdmitSimulate, cfg.AdmitCachedRead)
 	if len(cfg.Peers) > 0 {
@@ -840,13 +831,15 @@ func (s *Server) runJob(ctx context.Context, req *spec.JobRequest, key string) (
 // machine-latency ablations and baseline comparisons of the same program ×
 // strategy share one compile, deduplicated in flight and cached across
 // jobs. The request that claims a compile runs it fused with its own
-// simulation (claim); a compile-cache hit or a dedup waiter executes the
-// shared artifact on a pooled warm machine under a bounded worker slot
-// (run). Waiting for any slot respects ctx, so a canceled request never
-// occupies (or leaks) a slot.
+// simulation: compiler.CompileRun runs measured selection on the request's
+// pooled machine and leaves the selected program's run on it, so a compile
+// that measured a region does not simulate its program a second time. A
+// compile-cache hit or a dedup waiter executes the shared artifact (run).
+// The cache holds exactly what the compile produced, never a run's end
+// state, and a failed run still caches a successful compile.
 // When the request asks for a trace, the returned tracer holds the run's
 // event stream. The returned cacheStatus says how stage one was satisfied
-// and the string how strategy selection decided the artifact
+// and the string how strategy selection decided the simulated program
 // (core.SelectionSummary.Mode; "" when no selection ran).
 func (s *Server) simulate(ctx context.Context, req *spec.JobRequest) (*core.RunResult, *trace.Tracer, cacheStatus, string, error) {
 	p, pr, err := s.resolve(req)
@@ -857,21 +850,27 @@ func (s *Server) simulate(ctx context.Context, req *spec.JobRequest) (*core.RunR
 	if req.Trace {
 		tr = trace.New()
 	}
-
-	ckey := req.CompileKey()
-	// The claimant's run is its own: the cache holds only the artifact,
-	// never the end state and its memory image. A failed run still caches
-	// a successful compile.
+	opts := req.CompilerOpts()
+	opts.Profile = pr // nil for inline programs: the compiler profiles them
 	var (
 		res    *core.RunResult
 		runErr error
 	)
-	cp, cstat, err := s.artifacts.get(ctx, ckey, func() (*core.CompiledProgram, error) {
-		cp, r, err := s.claim(ctx, req, p, pr, tr)
+	cp, cstat, err := s.artifacts.get(ctx, req.CompileKey(), func() (*core.CompiledProgram, error) {
+		var cp *core.CompiledProgram
+		res, runErr = s.onMachine(ctx, req, tr, func(m *core.Machine) (r *core.RunResult, err error) {
+			// CompileRun fuses exactly when selection measured a region and the
+			// machine's own configuration can resume the eval machines'.
+			cfg := m.Config()
+			cp, r, err = compiler.CompileRun(ctx, p, opts, m)
+			if err == nil && cp.Selection.Measured+cp.Selection.Escalated > 0 && cfg.CanResume(core.DefaultConfig(cp.Cores)) {
+				s.fusedRuns.Inc()
+			}
+			return r, err
+		})
 		if cp == nil {
-			return nil, err
+			return nil, runErr
 		}
-		res, runErr = r, err
 		return cp, nil
 	})
 	s.compiles[cstat].Inc()
@@ -882,97 +881,42 @@ func (s *Server) simulate(ctx context.Context, req *spec.JobRequest) (*core.RunR
 		s.selectStatic.Add(int64(cp.Selection.Static))
 		s.selectEscalated.Add(int64(cp.Selection.Escalated))
 	} else {
-		if err := ctx.Err(); err != nil { // the artifact arrived after cancellation
-			return nil, nil, cstat, cp.Selection.Mode, err
-		}
 		res, runErr = s.run(ctx, req, cp, tr)
 	}
 	if runErr != nil {
 		return nil, nil, cstat, cp.Selection.Mode, runErr
 	}
-	if tr != nil && cstat == cacheMiss && req.Compiler.Select == "auto" && cp.Selection.Static > 0 {
-		// Stall-report feedback (the online agreement check): the request
-		// that compiled an auto-selected artifact and traced its run re-runs
-		// measured selection for every statically decided region whose
-		// realized stall profile contradicts the classifier. A corrected
-		// artifact replaces the cached one, so every later job — traced or
-		// not — runs the re-selected program; the traced result itself is
-		// re-simulated so the response reflects what the cache now holds.
-		cp2, res2, tr2, err := s.recheck(ctx, req, p, pr, ckey, cp, tr.Report())
+	if tr != nil && req.Compiler.Select == "auto" && cp.Selection.Static > 0 {
+		// Stall-report feedback (the online agreement check): a traced run of
+		// an auto-selected artifact re-runs measured selection for every
+		// statically decided region whose realized stall profile contradicts
+		// the classifier, and the job answers with the re-selected program's
+		// run. The cached artifact stays as compiled, so the body depends only
+		// on the job's content, never on which request compiled it.
+		var (
+			cp2        *core.CompiledProgram
+			reselected []int
+		)
+		err := s.slot(ctx, func() (err error) {
+			cp2, reselected, err = compiler.Recheck(ctx, p, cp, tr.Report(), opts)
+			return err
+		})
 		if err != nil {
-			return nil, nil, cstat, cp.Selection.Mode, err
+			return nil, nil, cstat, cp.Selection.Mode, fmt.Errorf("selection recheck: %w", err)
 		}
-		if cp2 != nil {
-			cp, res, tr = cp2, res2, tr2
+		if len(reselected) > 0 {
+			s.selectRechecks.Add(int64(len(reselected)))
+			cp, tr = cp2, trace.New()
+			if res, err = s.run(ctx, req, cp, tr); err != nil {
+				return nil, nil, cstat, cp.Selection.Mode, err
+			}
 		}
 	}
 	return res, tr, cstat, cp.Selection.Mode, nil
 }
 
-// claim compiles and runs the job whose request claimed its compile key,
-// holding a compile slot and then a worker slot (nothing takes them in the
-// other order) and one pooled machine. compiler.CompileRun runs measured
-// selection on that machine and leaves the selected program's run on it,
-// so a compile that measured a region does not simulate its program a
-// second time. The program is returned whenever compilation succeeded,
-// even when the run failed; canceling ctx aborts selection too.
-func (s *Server) claim(ctx context.Context, req *spec.JobRequest, p *ir.Program, pr *prof.Profile,
-	tr *trace.Tracer) (*core.CompiledProgram, *core.RunResult, error) {
-	select {
-	case s.compileSem <- struct{}{}:
-	case <-ctx.Done():
-		return nil, nil, fmt.Errorf("waiting for a compile slot: %w", ctx.Err())
-	}
-	defer func() { <-s.compileSem }()
-	opts := req.CompilerOpts()
-	opts.Profile = pr // nil for inline programs: the compiler profiles them
-	var cp *core.CompiledProgram
-	res, err := s.onMachine(ctx, req, tr, func(m *core.Machine) (res *core.RunResult, err error) {
-		// CompileRun fuses exactly when selection measured a region and the
-		// machine's own configuration can resume the eval machines'.
-		cfg := m.Config()
-		cp, res, err = compiler.CompileRun(ctx, p, opts, m)
-		if err == nil && cp.Selection.Measured+cp.Selection.Escalated > 0 && cfg.CanResume(core.DefaultConfig(cp.Cores)) {
-			s.fusedRuns.Inc()
-		}
-		return res, err
-	})
-	return cp, res, err
-}
-
-// recheck runs compiler.Recheck under a compile slot (re-selection
-// simulates candidates — compile-stage work) and, when any region was
-// re-selected, replaces the cached artifact and re-simulates the job with a
-// fresh tracer. Returns nils when the report confirmed every static pick.
-func (s *Server) recheck(ctx context.Context, req *spec.JobRequest, p *ir.Program, pr *prof.Profile,
-	ckey string, cp *core.CompiledProgram, rep *trace.Report) (*core.CompiledProgram, *core.RunResult, *trace.Tracer, error) {
-	select {
-	case s.compileSem <- struct{}{}:
-	case <-ctx.Done():
-		return nil, nil, nil, fmt.Errorf("waiting for a compile slot: %w", ctx.Err())
-	}
-	opts := req.CompilerOpts()
-	opts.Profile = pr
-	cp2, reselected, err := compiler.Recheck(p, cp, rep, opts)
-	<-s.compileSem
-	if err != nil {
-		return nil, nil, nil, fmt.Errorf("selection recheck: %w", err)
-	}
-	if len(reselected) == 0 {
-		return nil, nil, nil, nil
-	}
-	s.selectRechecks.Add(int64(len(reselected)))
-	s.artifacts.replace(ckey, cp2)
-	tr := trace.New()
-	res, err := s.run(ctx, req, cp2, tr)
-	if err != nil {
-		return nil, nil, nil, err
-	}
-	return cp2, res, tr, nil
-}
-
-// run executes a compiled artifact on a warm machine from the pool under
-// one of the Workers slots (onMachine).
+// run executes a compiled artifact on a warm machine from the pool
+// (onMachine).
 func (s *Server) run(ctx context.Context, req *spec.JobRequest, cp *core.CompiledProgram, tr *trace.Tracer) (*core.RunResult, error) {
 	return s.onMachine(ctx, req, tr, func(m *core.Machine) (*core.RunResult, error) {
 		return m.RunContext(ctx, cp)
@@ -980,34 +924,48 @@ func (s *Server) run(ctx context.Context, req *spec.JobRequest, cp *core.Compile
 }
 
 // onMachine calls sim on a warm machine from the pool, configured for req
-// and traced by tr, under one of the Workers slots, and counts one
-// simulation. Waiting for the slot respects ctx, so a canceled request
-// never occupies one; once running, the canceled ctx is threaded into the
-// simulator, which fails fast. A machine whose simulation panicked is not
-// pooled again. There are no standing worker goroutines: every
-// simulation executes on its request handler's goroutine, so draining
-// HTTP handlers drains the slots and nothing leaks.
+// and traced by tr, under one worker slot, and counts one simulation. A
+// machine whose simulation panicked is not pooled again.
 func (s *Server) onMachine(ctx context.Context, req *spec.JobRequest, tr *trace.Tracer,
 	sim func(*core.Machine) (*core.RunResult, error)) (*core.RunResult, error) {
+	var res *core.RunResult
+	err := s.slot(ctx, func() (err error) {
+		defer s.runs.Inc()
+		key := req.MachineKey()
+		m := s.pool.get(key, req.MachineConfig(tr))
+		res, err = sim(m)
+		s.pool.put(key, m)
+		return err
+	})
+	return res, err
+}
+
+// slot calls fn under one of the Workers slots: every simulation the server
+// runs — a compile claimant's, a plain run's, a recheck's candidates —
+// holds exactly one, and nothing waits for a second slot while holding one.
+// Waiting respects ctx, so a canceled request never occupies a slot and
+// fails with the wait's error; once running, the caller threads the same
+// ctx into the simulator, which polls it. There are no standing worker goroutines:
+// every simulation executes on its request handler's goroutine, so
+// draining HTTP handlers drains the slots and nothing leaks.
+func (s *Server) slot(ctx context.Context, fn func() error) error {
+	if err := ctx.Err(); err != nil { // select would pick a free slot at random
+		return fmt.Errorf("waiting for a worker slot: %w", err)
+	}
 	s.queued.Add(1)
 	select {
 	case s.runSem <- struct{}{}:
 		s.queued.Add(-1)
 	case <-ctx.Done():
 		s.queued.Add(-1)
-		return nil, fmt.Errorf("waiting for a worker slot: %w", ctx.Err())
+		return fmt.Errorf("waiting for a worker slot: %w", ctx.Err())
 	}
 	s.running.Add(1)
 	defer func() {
 		s.running.Add(-1)
 		<-s.runSem
-		s.runs.Inc()
 	}()
-	key := req.MachineKey()
-	m := s.pool.get(key, req.MachineConfig(tr))
-	res, err := sim(m)
-	s.pool.put(key, m)
-	return res, err
+	return fn()
 }
 
 // handleFigure regenerates one paper figure through the shared suite. The

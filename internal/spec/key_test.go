@@ -1,6 +1,7 @@
 package spec
 
 import (
+	"errors"
 	"fmt"
 	"testing"
 )
@@ -208,5 +209,33 @@ func TestMachineKeyGroupsPools(t *testing.T) {
 			t.Errorf("machine key collision: %+v", r)
 		}
 		seen[k] = true
+	}
+}
+
+// TestNegativeSpellingsShareKeys: every negative threshold gate disables
+// it and every negative queue_cap means unbounded, so each such spelling
+// is the same job as -1 under all three keys; a negative latency has no
+// meaning and is rejected.
+func TestNegativeSpellingsShareKeys(t *testing.T) {
+	same := [][2]*JobRequest{
+		{{Program: bench("x"), Compiler: CompilerOptions{DSWPThreshold: -3}},
+			{Program: bench("x"), Compiler: CompilerOptions{DSWPThreshold: -1}}},
+		{{Program: bench("x"), Compiler: CompilerOptions{DOALLTripThreshold: -0.5}},
+			{Program: bench("x"), Compiler: CompilerOptions{DOALLTripThreshold: -1}}},
+		{{Program: bench("x"), Machine: MachineOptions{QueueCap: -7}},
+			{Program: bench("x"), Machine: MachineOptions{QueueCap: -1}}},
+	}
+	for i, pair := range same {
+		a, b := normalized(t, pair[0]), normalized(t, pair[1])
+		if a.Key() != b.Key() || a.CompileKey() != b.CompileKey() || a.MachineKey() != b.MachineKey() {
+			t.Errorf("same[%d]: compiler %+v / machine %+v keys apart from -1", i, pair[0].Compiler, pair[0].Machine)
+		}
+	}
+	for _, m := range []MachineOptions{{RegionSyncLat: -1}, {ModeSwitchLat: -2}, {QueueBaseLat: -1}, {QueueHopLat: -4}} {
+		err := (&JobRequest{Program: bench("x"), Machine: m}).Normalize(func(string) bool { return true })
+		var se *Error
+		if !errors.As(err, &se) || se.Code != ErrBadSpec {
+			t.Errorf("%+v: got %v, want a %s error", m, err, ErrBadSpec)
+		}
 	}
 }

@@ -134,14 +134,15 @@ type CompilerOptions struct {
 	SelectThreshold float64 `json:"select_threshold,omitempty"`
 }
 
-// MachineOptions overrides core.DefaultConfig. Zero means the default.
+// MachineOptions overrides core.DefaultConfig. Zero means the default; a
+// negative latency is rejected.
 type MachineOptions struct {
 	RegionSyncLat int64 `json:"region_sync_lat,omitempty"`
 	ModeSwitchLat int64 `json:"mode_switch_lat,omitempty"`
 	QueueBaseLat  int64 `json:"queue_base_lat,omitempty"`
 	QueueHopLat   int64 `json:"queue_hop_lat,omitempty"`
 	// QueueCap sizes the per-(sender,receiver) CAM receive queue; a full
-	// pair back-pressures its sender. -1 means unbounded.
+	// pair back-pressures its sender. Negative means unbounded.
 	QueueCap int `json:"queue_cap,omitempty"`
 	// MeshCols fixes the mesh column count (the mesh-shape ablation knob,
 	// e.g. comparing the near-square default against a 4-column strip).
@@ -317,8 +318,19 @@ func (r *JobRequest) Normalize(known func(bench string) bool) error {
 	if err := ValidateSelectThreshold(r.Compiler.SelectThreshold); err != nil {
 		return errf(ErrBadSpec, "%v", err)
 	}
-	if r.Compiler.SelectThreshold < 0 {
-		r.Compiler.SelectThreshold = -1 // canonical "no gate"
+	// Any negative gate means "no gate" and any negative queue_cap
+	// "unbounded": each gets one canonical spelling, so they share a key.
+	for _, v := range []*float64{&r.Compiler.SelectThreshold, &r.Compiler.DSWPThreshold, &r.Compiler.DOALLTripThreshold} {
+		if *v < 0 {
+			*v = -1
+		}
+	}
+	if r.Machine.QueueCap < 0 {
+		r.Machine.QueueCap = -1
+	}
+	if m := r.Machine; min(m.RegionSyncLat, m.ModeSwitchLat, m.QueueBaseLat, m.QueueHopLat) < 0 {
+		return errf(ErrBadSpec, "negative machine latency (0 means the default): region_sync_lat %d, mode_switch_lat %d, queue_base_lat %d, queue_hop_lat %d",
+			m.RegionSyncLat, m.ModeSwitchLat, m.QueueBaseLat, m.QueueHopLat)
 	}
 	return nil
 }
