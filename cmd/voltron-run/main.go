@@ -24,10 +24,8 @@ import (
 	"strconv"
 	"strings"
 
-	"voltron/internal/compiler"
 	"voltron/internal/core"
-	"voltron/internal/ir"
-	"voltron/internal/prof"
+	"voltron/internal/exp"
 	"voltron/internal/spec"
 	"voltron/internal/stats"
 	"voltron/internal/trace"
@@ -102,33 +100,15 @@ func run(args []string, stdout, stderr io.Writer) error {
 	if err := req.Normalize(func(b string) bool { return slices.Contains(workload.Names(), b) }); err != nil {
 		return err
 	}
-	var (
-		p   *ir.Program
-		err error
-	)
-	if req.Program.Kind == spec.KindBench {
-		p, err = workload.Build(req.Program.Bench)
-	} else {
-		p, err = req.Program.Build()
-	}
+	p, pr, err := exp.NewSuite().Resolve(req)
 	if err != nil {
 		return err
 	}
-	pr, err := prof.Collect(p)
-	if err != nil {
-		return err
-	}
-	// simulate compiles and runs one job; only -j differs from the
-	// service's lowering of the same request. An untraced job on the
-	// default machine reuses measured selection's end state as its run.
-	simulate := func(req *spec.JobRequest, tr *trace.Tracer) (*core.CompiledProgram, *core.RunResult, error) {
-		opts := req.CompilerOpts()
-		opts.Profile, opts.Workers = pr, *workers
-		return compiler.CompileRun(context.Background(), p, opts, core.New(req.MachineConfig(tr)))
-	}
+	// Both runs take the service's job pipeline; -j cannot change a result.
+	ctx := context.Background()
 	baseReq := *req
 	baseReq.Strategy, baseReq.Cores = "serial", 1
-	_, base, err := simulate(&baseReq, nil)
+	_, _, base, _, err := baseReq.Simulate(ctx, p, pr, nil, core.New(baseReq.MachineConfig(nil)), *workers)
 	if err != nil {
 		return err
 	}
@@ -136,7 +116,7 @@ func run(args []string, stdout, stderr io.Writer) error {
 	if *tracePath != "" || *stalls {
 		tr = trace.New()
 	}
-	mainCP, res, err := simulate(req, tr)
+	_, ran, res, tr, err := req.Simulate(ctx, p, pr, nil, core.New(req.MachineConfig(tr)), *workers)
 	if err != nil {
 		// An aborted run (deadlock, schedule violation) still dumps the
 		// requested trace — that is when it is most needed.
@@ -151,7 +131,7 @@ func run(args []string, stdout, stderr io.Writer) error {
 	fmt.Fprintf(stdout, "mode occupancy: %.0f%% coupled / %.0f%% decoupled; spawns=%d tm-conflicts=%d\n",
 		100*res.ModeFraction(stats.ModeCoupled), 100*res.ModeFraction(stats.ModeDecoupled),
 		res.Spawns, res.TMConflicts)
-	if ssum := mainCP.Selection; ssum.Mode != "" && req.Compiler.Select != spec.DefaultSelect {
+	if ssum := ran.Selection; ssum.Mode != "" && req.Compiler.Select != spec.DefaultSelect {
 		fmt.Fprintf(stdout, "selection: %s (%d static, %d escalated, %d measured)\n",
 			ssum.Mode, ssum.Static, ssum.Escalated, ssum.Measured)
 	}

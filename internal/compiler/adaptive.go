@@ -228,7 +228,12 @@ const recheckStallFraction = 0.5
 // is returned unchanged with a nil index list. cp must be a program
 // compiled from p with selection metadata (auto or static mode). Canceling
 // ctx aborts the re-measurement with an error wrapping ctx.Err().
-func Recheck(ctx context.Context, p *ir.Program, cp *core.CompiledProgram, rep *trace.Report, opts Options) (*core.CompiledProgram, []int, error) {
+//
+// A non-nil m is the caller's machine, lent to the re-measurement as eval
+// worker 0 as in CompileRun, and reset to its own configuration before
+// Recheck returns. A traced m skips measured selection's resumed final run
+// and comes back ready to run the corrected program under its tracer.
+func Recheck(ctx context.Context, p *ir.Program, cp *core.CompiledProgram, rep *trace.Report, opts Options, m *core.Machine) (*core.CompiledProgram, []int, error) {
 	var suspect []int
 	for i, sel := range cp.Selection.Regions {
 		if sel.Tier != TierEasy.String() || i >= len(rep.Regions) {
@@ -261,7 +266,7 @@ func Recheck(ctx context.Context, p *ir.Program, cp *core.CompiledProgram, rep *
 	out.Selection.Static -= len(suspect)
 	out.Selection.Escalated += len(suspect)
 	out.Selection.Regions = append([]core.RegionSelection(nil), cp.Selection.Regions...)
-	choices, _, err := measureRegions(ctx, opts, out, plans, suspect, nil)
+	choices, _, err := measureRegions(ctx, opts, out, plans, suspect, m)
 	if err != nil {
 		return nil, nil, err
 	}

@@ -1,6 +1,7 @@
 package compiler
 
 import (
+	"bytes"
 	"context"
 	"math"
 	"reflect"
@@ -304,35 +305,24 @@ func TestContradicted(t *testing.T) {
 	}
 }
 
-// TestRecheck drives the feedback loop end to end: a fabricated report in
-// which one statically-decided region drowns in its pick's characteristic
-// overhead must trigger re-measurement of exactly that region, and the
-// re-measured pick must land on measured selection's ground truth.
-func TestRecheck(t *testing.T) {
+// recheckFixture compiles gsmdecode in auto mode and fabricates a report in
+// which the first statically decided parallel region (target) drowns in its
+// pick's characteristic overhead; clean is the same report without it.
+func recheckFixture(t *testing.T) (p *ir.Program, cp *core.CompiledProgram, opts Options, clean, poisoned *trace.Report, target int) {
+	t.Helper()
 	p, err := workload.Build("gsmdecode")
 	if err != nil {
 		t.Fatal(err)
 	}
-	pr := mustProfile(t, p)
-	opts := Options{Cores: 4, Strategy: Hybrid, Profile: pr, Workers: 1, Selection: SelectAuto}
-	cp, err := Compile(p, opts)
-	if err != nil {
+	opts = Options{Cores: 4, Strategy: Hybrid, Profile: mustProfile(t, p), Workers: 1, Selection: SelectAuto}
+	if cp, err = Compile(p, opts); err != nil {
 		t.Fatal(err)
 	}
-	// A clean report contradicts nothing: Recheck is the identity.
-	clean := &trace.Report{Regions: make([]trace.RegionReport, len(p.Regions))}
+	clean = &trace.Report{Regions: make([]trace.RegionReport, len(p.Regions))}
 	for i, r := range p.Regions {
 		clean.Regions[i] = trace.RegionReport{Name: r.Name, Cycles: map[string]int64{stats.Busy.String(): 100}}
 	}
-	same, idx, err := Recheck(context.Background(), p, cp, clean, opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if same != cp || idx != nil {
-		t.Errorf("clean report: got new program / suspects %v, want identity", idx)
-	}
-	// Poison one TierEasy region with a parallel pick.
-	target := -1
+	target = -1
 	for i, sel := range cp.Selection.Regions {
 		if sel.Tier == TierEasy.String() &&
 			(sel.Choice == ChoseILP.String() || sel.Choice == ChoseFTLP.String()) {
@@ -343,7 +333,7 @@ func TestRecheck(t *testing.T) {
 	if target < 0 {
 		t.Skip("no statically-decided parallel region to poison")
 	}
-	poisoned := &trace.Report{Regions: append([]trace.RegionReport(nil), clean.Regions...)}
+	poisoned = &trace.Report{Regions: append([]trace.RegionReport(nil), clean.Regions...)}
 	over := stats.DStall.String()
 	if cp.Selection.Regions[target].Choice == ChoseFTLP.String() {
 		over = stats.SendStall.String()
@@ -352,7 +342,24 @@ func TestRecheck(t *testing.T) {
 		Name:   p.Regions[target].Name,
 		Cycles: map[string]int64{stats.Busy.String(): 10, over: 90},
 	}
-	out, idx, err := Recheck(context.Background(), p, cp, poisoned, opts)
+	return p, cp, opts, clean, poisoned, target
+}
+
+// TestRecheck drives the feedback loop end to end: a fabricated report in
+// which one statically-decided region drowns in its pick's characteristic
+// overhead must trigger re-measurement of exactly that region, and the
+// re-measured pick must land on measured selection's ground truth.
+func TestRecheck(t *testing.T) {
+	p, cp, opts, clean, poisoned, target := recheckFixture(t)
+	// A clean report contradicts nothing: Recheck is the identity.
+	same, idx, err := Recheck(context.Background(), p, cp, clean, opts, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if same != cp || idx != nil {
+		t.Errorf("clean report: got new program / suspects %v, want identity", idx)
+	}
+	out, idx, err := Recheck(context.Background(), p, cp, poisoned, opts, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -367,7 +374,7 @@ func TestRecheck(t *testing.T) {
 	}
 	// The re-measurement is the unmodified measured pipeline; against this
 	// program's background it must land on measured selection's pick.
-	measured, err := Compile(p, Options{Cores: 4, Strategy: Hybrid, Profile: pr, Workers: 1})
+	measured, err := Compile(p, Options{Cores: 4, Strategy: Hybrid, Profile: opts.Profile, Workers: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -377,6 +384,62 @@ func TestRecheck(t *testing.T) {
 	// The input program is untouched (the server caches it by key).
 	if cp.Selection.Regions[target].Tier != TierEasy.String() {
 		t.Error("Recheck mutated its input program's selection metadata")
+	}
+}
+
+// TestRecheckBorrowedMachine lends Recheck the machine a job just ran on,
+// with the rerun's tracer attached, as the job pipeline does: the corrected
+// program must equal the one a recheck on its own machines selects, and the
+// traced rerun on the lent machine must match a fresh machine's traced run
+// of that program cycle for cycle and byte for byte.
+func TestRecheckBorrowedMachine(t *testing.T) {
+	p, cp, opts, _, poisoned, _ := recheckFixture(t)
+	ctx := context.Background()
+	want, wantIdx, err := Recheck(ctx, p, cp, poisoned, opts, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg := core.DefaultConfig(opts.Cores)
+	m := core.New(cfg)
+	if _, err := m.RunContext(ctx, cp); err != nil {
+		t.Fatal(err)
+	}
+	tr := trace.New()
+	cfg.Tracer = tr
+	m.Reset(cfg)
+	got, gotIdx, err := Recheck(ctx, p, cp, poisoned, opts, m)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(got, want) || !reflect.DeepEqual(gotIdx, wantIdx) {
+		t.Fatalf("borrowed-machine recheck re-selected %v, own machines %v; programs equal: %v",
+			gotIdx, wantIdx, reflect.DeepEqual(got, want))
+	}
+	if m.Config().Tracer != tr {
+		t.Fatal("Recheck did not hand the machine back in its own (traced) configuration")
+	}
+	res, err := m.RunContext(ctx, got)
+	if err != nil {
+		t.Fatal(err)
+	}
+	freshTr := trace.New()
+	cfg.Tracer = freshTr
+	fresh, err := core.New(cfg).RunContext(ctx, want)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.TotalCycles != fresh.TotalCycles {
+		t.Errorf("rerun on the lent machine took %d cycles, a fresh machine %d", res.TotalCycles, fresh.TotalCycles)
+	}
+	var a, b bytes.Buffer
+	if err := tr.WriteChrome(&a); err != nil {
+		t.Fatal(err)
+	}
+	if err := freshTr.WriteChrome(&b); err != nil {
+		t.Fatal(err)
+	}
+	if a.Len() == 0 || !bytes.Equal(a.Bytes(), b.Bytes()) {
+		t.Errorf("rerun trace (%d bytes) differs from a fresh machine's (%d bytes)", a.Len(), b.Len())
 	}
 }
 

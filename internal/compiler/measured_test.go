@@ -355,7 +355,7 @@ func TestRecheckCancel(t *testing.T) {
 	const after = 3
 	pc := &pollCanceler{Context: ctx, cancel: cancel, after: after}
 	start := time.Now()
-	_, _, err = Recheck(pc, p, cp, rep, opts)
+	_, _, err = Recheck(pc, p, cp, rep, opts, nil)
 	elapsed := time.Since(start)
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("canceled recheck returned %v, want an error wrapping context.Canceled", err)

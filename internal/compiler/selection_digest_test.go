@@ -109,7 +109,7 @@ func selectionRecord(t *testing.T, p *ir.Program, opts Options) []byte {
 	if _, err := core.New(cfg).Run(cp); err != nil {
 		t.Fatalf("%v/%d: traced run: %v", opts.Strategy, opts.Cores, err)
 	}
-	out, idx, err := Recheck(context.Background(), p, cp, cfg.Tracer.Report(), opts)
+	out, idx, err := Recheck(context.Background(), p, cp, cfg.Tracer.Report(), opts, nil)
 	if err != nil {
 		return appendString(buf, "recheck error: "+err.Error())
 	}

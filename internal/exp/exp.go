@@ -19,6 +19,7 @@ import (
 	"voltron/internal/core"
 	"voltron/internal/ir"
 	"voltron/internal/prof"
+	"voltron/internal/spec"
 	"voltron/internal/workload"
 )
 
@@ -225,28 +226,44 @@ func (s *Suite) Profile(bench string) (*prof.Profile, error) {
 	})
 }
 
-// Run returns the (cached) simulation of one configuration. Concurrent
-// calls with the same key share one simulation.
+// Resolve materializes a normalized job's program. Benchmarks come from the
+// suite, built and profiled once (Program, Profile); kernel and source
+// programs build per call with a nil profile (the compiler profiles them).
+func (s *Suite) Resolve(req *spec.JobRequest) (*ir.Program, *prof.Profile, error) {
+	if req.Program.Kind != spec.KindBench {
+		p, err := req.Program.Build()
+		return p, nil, err
+	}
+	p, err := s.Program(req.Program.Bench)
+	if err != nil {
+		return nil, nil, err
+	}
+	pr, err := s.Profile(req.Program.Bench)
+	return p, pr, err
+}
+
+// Run returns the (cached) simulation of one configuration: the bench job
+// at the suite's selection settings, through the same pipeline as every
+// other entry point (spec.JobRequest.Simulate). Concurrent calls with the
+// same key share one simulation.
 func (s *Suite) Run(bench string, strat compiler.Strategy, cores int) (*core.RunResult, error) {
 	return do(s, s.runs, runKey{bench, strat, cores}, func() (*core.RunResult, error) {
-		p, err := s.Program(bench)
-		if err != nil {
-			return nil, err
+		req := &spec.JobRequest{
+			Program:  &spec.ProgramSpec{Kind: spec.KindBench, Bench: bench},
+			Strategy: spec.StrategyName(strat),
+			Cores:    cores,
+			Compiler: spec.CompilerOptions{Select: s.Select.String(), SelectThreshold: s.SelectThreshold},
 		}
-		pr, err := s.Profile(bench)
+		p, pr, err := s.Resolve(req)
 		if err != nil {
 			return nil, err
 		}
 		// Compile and simulate under the bounded pool. The slot is taken
 		// only here — never while waiting on another flight — so nested
-		// cache fills cannot deadlock the pool. A compile that measured a
-		// region hands back its selection's end state as the run.
+		// cache fills cannot deadlock the pool.
 		s.acquire()
 		defer s.release()
-		_, res, err := compiler.CompileRun(context.Background(), p, compiler.Options{
-			Cores: cores, Strategy: strat, Profile: pr, Workers: s.workers(),
-			Selection: s.Select, SelectThreshold: s.SelectThreshold,
-		}, core.New(core.DefaultConfig(cores)))
+		_, _, res, _, err := req.Simulate(context.Background(), p, pr, nil, core.New(req.MachineConfig(nil)), s.workers())
 		if err != nil {
 			return nil, fmt.Errorf("%s/%v/%d: %w", bench, strat, cores, err)
 		}

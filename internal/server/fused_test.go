@@ -14,8 +14,9 @@ import (
 // The compile claimant — the request that claims a compile key — compiles
 // and runs its job on one pooled machine through compiler.CompileRun, so a
 // measured compile's run is selection's end state. Every other request
-// runs the cached artifact through Server.run. These tests pin that the two
-// paths answer alike and that cancelling a claimant frees both its slots.
+// runs the cached artifact, through the same job pipeline on its own pooled
+// machine. These tests pin that the two paths answer alike and that
+// cancelling a claimant frees its slot.
 
 // fusedPrograms are the oracle's programs, each with a small, unmeasured
 // last region: a fused run must resume selection's end state through it.
@@ -32,7 +33,7 @@ var fusedPrograms = map[string]string{
 // TestFusedClaimantMatchesCompileHit runs every job twice, on two fresh
 // servers. On server A the plain job claims the compile, so its body comes
 // from CompileRun on a pooled machine, and a queue-latency variant of it
-// is a compile hit run by Server.run. On server B the variant claims first
+// is a compile hit that runs the cached artifact. On server B the variant claims first
 // and the plain job is the compile hit. Both jobs' bodies must be
 // byte-identical across the servers. The matrix is ilp, ftlp and hybrid
 // (measured and auto) at 2, 4, 16 and 64 cores over a kernels and a source

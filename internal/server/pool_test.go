@@ -45,6 +45,15 @@ func testCompiled(t testing.TB) (*core.CompiledProgram, core.Config, string) {
 	return cp, req.MachineConfig(nil), req.MachineKey()
 }
 
+// runArtifact runs cp for req on a pooled machine, traced by tr, as the
+// server runs a compile-cache hit.
+func runArtifact(s *Server, ctx context.Context, req *spec.JobRequest, cp *core.CompiledProgram, tr *trace.Tracer) error {
+	return s.onMachine(ctx, req, tr, func(m *core.Machine) error {
+		_, _, _, _, err := req.Simulate(ctx, cp.Src, nil, cp, m, 1)
+		return err
+	})
+}
+
 // TestMachinePoolExclusiveOwnership hammers one pool from 16 goroutines
 // under -race: a machine handed out by get must never be owned by two
 // workers at once (Machine state is not goroutine-safe, so an aliased
@@ -286,7 +295,7 @@ func TestPoolMetricsAccount(t *testing.T) {
 
 // TestPanickingRunDropsMachine makes a run panic inside RunContext (an
 // artifact with no source program panics building its memory image) and
-// checks, under -race, that Server.run neither re-pools the machine it was
+// checks, under -race, that Server.onMachine neither re-pools the machine it was
 // running on nor keeps its worker slot: with one worker, the next run must
 // acquire the slot and run on a freshly built machine.
 func TestPanickingRunDropsMachine(t *testing.T) {
@@ -301,7 +310,7 @@ func TestPanickingRunDropsMachine(t *testing.T) {
 				t.Fatal("run of an artifact with no source program did not panic")
 			}
 		}()
-		s.run(context.Background(), req, bad, nil)
+		runArtifact(s, context.Background(), req, bad, nil)
 	}()
 	if got := s.pool.size(); got != before {
 		t.Errorf("pool holds %d idle machines after the panicking run, want %d", got, before)
@@ -312,7 +321,7 @@ func TestPanickingRunDropsMachine(t *testing.T) {
 	news := s.pool.news.Value()
 	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
 	defer cancel()
-	if _, err := s.run(ctx, req, cp, nil); err != nil {
+	if err := runArtifact(s, ctx, req, cp, nil); err != nil {
 		t.Fatalf("run after the panicking run: %v", err)
 	}
 	if got := s.pool.news.Value() - news; got != 1 {
@@ -333,7 +342,7 @@ func TestTracedRunReleasesTracer(t *testing.T) {
 	cp, _, _ := testCompiled(t)
 	tr := trace.New()
 	wp := weak.Make(tr)
-	if _, err := s.run(context.Background(), req, cp, tr); err != nil {
+	if err := runArtifact(s, context.Background(), req, cp, tr); err != nil {
 		t.Fatal(err)
 	}
 	if len(tr.Events) == 0 {

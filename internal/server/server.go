@@ -25,9 +25,7 @@ import (
 	"voltron/internal/compiler"
 	"voltron/internal/core"
 	"voltron/internal/exp"
-	"voltron/internal/ir"
 	"voltron/internal/lang"
-	"voltron/internal/prof"
 	"voltron/internal/spec"
 	"voltron/internal/stats"
 	"voltron/internal/trace"
@@ -66,9 +64,6 @@ type Config struct {
 	// AdmitCachedRead bounds concurrently admitted cached-read requests.
 	// Defaults to 8× AdmitSimulate.
 	AdmitCachedRead int
-	// Suite optionally shares an experiment suite (benchmark programs,
-	// profiles, and figure results). Defaults to a fresh one.
-	Suite *exp.Suite
 }
 
 // The bounds of the server's two artifact stores: compiled programs cached
@@ -157,13 +152,11 @@ func New(cfg Config) *Server {
 	if len(cfg.Peers) > 0 && cfg.Self == "" {
 		cfg.Self = "self"
 	}
-	if cfg.Suite == nil {
-		cfg.Suite = exp.NewSuite()
-		cfg.Suite.Workers = cfg.Workers
-	}
+	suite := exp.NewSuite()
+	suite.Workers = cfg.Workers
 	s := &Server{
 		cfg:       cfg,
-		suite:     cfg.Suite,
+		suite:     suite,
 		cache:     newCache(cfg.CacheEntries),
 		artifacts: newSFCache[*core.CompiledProgram](artifactEntries),
 		traces:    newLRU[string, []byte](traceEntries),
@@ -461,22 +454,6 @@ func (s *Server) decodeRequest(w http.ResponseWriter, body []byte) *spec.JobRequ
 	return req
 }
 
-// resolve materializes a normalized job's program. Benchmarks come from the
-// suite, pre-built and pre-profiled; kernel and source programs build here
-// with a nil profile (the compiler profiles them).
-func (s *Server) resolve(req *spec.JobRequest) (*ir.Program, *prof.Profile, error) {
-	if req.Program.Kind != spec.KindBench {
-		p, err := req.Program.Build()
-		return p, nil, err
-	}
-	p, err := s.suite.Program(req.Program.Bench)
-	if err != nil {
-		return nil, nil, err
-	}
-	pr, err := s.suite.Profile(req.Program.Bench)
-	return p, pr, err
-}
-
 // memoEntry is what the request memo keeps per body digest: the normalized
 // job's content key and its strategy (the latency histogram's label).
 // Never the *JobRequest: a source request would pin its checked AST for as
@@ -625,7 +602,7 @@ func (s *Server) handleValidate(w http.ResponseWriter, r *http.Request) {
 	if req == nil {
 		return
 	}
-	p, pr, err := s.resolve(req)
+	p, pr, err := s.suite.Resolve(req)
 	if err != nil {
 		status := http.StatusInternalServerError
 		var se *spec.Error
@@ -826,52 +803,51 @@ func (s *Server) runJob(ctx context.Context, req *spec.JobRequest, key string) (
 	return resp, cstat, selMode, nil
 }
 
-// simulate runs one normalized job through the two-stage pipeline. Stage
-// one resolves the compiled artifact by spec.CompileKey — trace variants,
-// machine-latency ablations and baseline comparisons of the same program ×
-// strategy share one compile, deduplicated in flight and cached across
-// jobs. The request that claims a compile runs it fused with its own
-// simulation: compiler.CompileRun runs measured selection on the request's
-// pooled machine and leaves the selected program's run on it, so a compile
-// that measured a region does not simulate its program a second time. A
-// compile-cache hit or a dedup waiter executes the shared artifact (run).
-// The cache holds exactly what the compile produced, never a run's end
-// state, and a failed run still caches a successful compile.
-// When the request asks for a trace, the returned tracer holds the run's
-// event stream. The returned cacheStatus says how stage one was satisfied
-// and the string how strategy selection decided the simulated program
-// (core.SelectionSummary.Mode; "" when no selection ran).
+// simulate runs one normalized job through the job pipeline
+// (spec.JobRequest.Simulate) on a pooled machine under one worker slot.
+// The compile stage is cached by spec.CompileKey, so trace variants,
+// machine ablations and baseline runs of one program × strategy share one
+// compile, deduplicated in flight. The claimant runs that compile fused
+// with its own simulation; a compile-cache hit or a dedup waiter runs the
+// cached artifact. The cache holds exactly what the compile produced —
+// never a run's end state or a recheck's correction — and a failed run
+// still caches a successful compile. The tracer, when the request asks for
+// one, holds the run's event stream; the cacheStatus says how the compile
+// stage was satisfied and the string how selection decided the program
+// that ran (core.SelectionSummary.Mode; "" when no selection ran).
 func (s *Server) simulate(ctx context.Context, req *spec.JobRequest) (*core.RunResult, *trace.Tracer, cacheStatus, string, error) {
-	p, pr, err := s.resolve(req)
+	p, pr, err := s.suite.Resolve(req)
 	if err != nil {
 		return nil, nil, cacheMiss, "", err
 	}
-	var tr *trace.Tracer
-	if req.Trace {
-		tr = trace.New()
-	}
-	opts := req.CompilerOpts()
-	opts.Profile = pr // nil for inline programs: the compiler profiles them
 	var (
+		tr     *trace.Tracer
+		ran    *core.CompiledProgram
 		res    *core.RunResult
 		runErr error
 	)
-	cp, cstat, err := s.artifacts.get(ctx, req.CompileKey(), func() (*core.CompiledProgram, error) {
-		var cp *core.CompiledProgram
-		res, runErr = s.onMachine(ctx, req, tr, func(m *core.Machine) (r *core.RunResult, err error) {
-			// CompileRun fuses exactly when selection measured a region and the
-			// machine's own configuration can resume the eval machines'.
-			cfg := m.Config()
-			cp, r, err = compiler.CompileRun(ctx, p, opts, m)
-			if err == nil && cp.Selection.Measured+cp.Selection.Escalated > 0 && cfg.CanResume(core.DefaultConfig(cp.Cores)) {
+	if req.Trace {
+		tr = trace.New()
+	}
+	run := func(cp *core.CompiledProgram) (compiled *core.CompiledProgram) {
+		runErr = s.onMachine(ctx, req, tr, func(m *core.Machine) (err error) {
+			// A claimant's CompileRun fuses exactly when selection measured a
+			// region and the machine's own configuration can resume the eval
+			// machines'.
+			fuses := cp == nil && m.Config().CanResume(core.DefaultConfig(req.Cores))
+			compiled, ran, res, tr, err = req.Simulate(ctx, p, pr, cp, m, 1)
+			if fuses && err == nil && compiled.Selection.Measured+compiled.Selection.Escalated > 0 {
 				s.fusedRuns.Inc()
 			}
-			return r, err
+			return err
 		})
-		if cp == nil {
-			return nil, runErr
+		return compiled
+	}
+	cp, cstat, err := s.artifacts.get(ctx, req.CompileKey(), func() (*core.CompiledProgram, error) {
+		if cp := run(nil); cp != nil {
+			return cp, nil
 		}
-		return cp, nil
+		return nil, runErr
 	})
 	s.compiles[cstat].Inc()
 	if err != nil {
@@ -881,73 +857,38 @@ func (s *Server) simulate(ctx context.Context, req *spec.JobRequest) (*core.RunR
 		s.selectStatic.Add(int64(cp.Selection.Static))
 		s.selectEscalated.Add(int64(cp.Selection.Escalated))
 	} else {
-		res, runErr = s.run(ctx, req, cp, tr)
+		run(cp)
 	}
 	if runErr != nil {
 		return nil, nil, cstat, cp.Selection.Mode, runErr
 	}
-	if tr != nil && req.Compiler.Select == "auto" && cp.Selection.Static > 0 {
-		// Stall-report feedback (the online agreement check): a traced run of
-		// an auto-selected artifact re-runs measured selection for every
-		// statically decided region whose realized stall profile contradicts
-		// the classifier, and the job answers with the re-selected program's
-		// run. The cached artifact stays as compiled, so the body depends only
-		// on the job's content, never on which request compiled it.
-		var (
-			cp2        *core.CompiledProgram
-			reselected []int
-		)
-		err := s.slot(ctx, func() (err error) {
-			cp2, reselected, err = compiler.Recheck(ctx, p, cp, tr.Report(), opts)
-			return err
-		})
-		if err != nil {
-			return nil, nil, cstat, cp.Selection.Mode, fmt.Errorf("selection recheck: %w", err)
-		}
-		if len(reselected) > 0 {
-			s.selectRechecks.Add(int64(len(reselected)))
-			cp, tr = cp2, trace.New()
-			if res, err = s.run(ctx, req, cp, tr); err != nil {
-				return nil, nil, cstat, cp.Selection.Mode, err
-			}
-		}
-	}
-	return res, tr, cstat, cp.Selection.Mode, nil
+	// A traced auto job whose stall report contradicted a static pick ran
+	// the re-selected program instead (see Simulate).
+	s.selectRechecks.Add(int64(cp.Selection.Static - ran.Selection.Static))
+	return res, tr, cstat, ran.Selection.Mode, nil
 }
 
-// run executes a compiled artifact on a warm machine from the pool
-// (onMachine).
-func (s *Server) run(ctx context.Context, req *spec.JobRequest, cp *core.CompiledProgram, tr *trace.Tracer) (*core.RunResult, error) {
-	return s.onMachine(ctx, req, tr, func(m *core.Machine) (*core.RunResult, error) {
-		return m.RunContext(ctx, cp)
-	})
-}
-
-// onMachine calls sim on a warm machine from the pool, configured for req
-// and traced by tr, under one worker slot, and counts one simulation. A
+// onMachine calls sim under one worker slot on a warm machine from the
+// pool, configured for req and traced by tr, and counts one simulation. A
 // machine whose simulation panicked is not pooled again.
-func (s *Server) onMachine(ctx context.Context, req *spec.JobRequest, tr *trace.Tracer,
-	sim func(*core.Machine) (*core.RunResult, error)) (*core.RunResult, error) {
-	var res *core.RunResult
-	err := s.slot(ctx, func() (err error) {
+func (s *Server) onMachine(ctx context.Context, req *spec.JobRequest, tr *trace.Tracer, sim func(*core.Machine) error) error {
+	return s.slot(ctx, func() error {
 		defer s.runs.Inc()
 		key := req.MachineKey()
 		m := s.pool.get(key, req.MachineConfig(tr))
-		res, err = sim(m)
+		err := sim(m)
 		s.pool.put(key, m)
 		return err
 	})
-	return res, err
 }
 
-// slot calls fn under one of the Workers slots: every simulation the server
-// runs — a compile claimant's, a plain run's, a recheck's candidates —
-// holds exactly one, and nothing waits for a second slot while holding one.
-// Waiting respects ctx, so a canceled request never occupies a slot and
-// fails with the wait's error; once running, the caller threads the same
-// ctx into the simulator, which polls it. There are no standing worker goroutines:
-// every simulation executes on its request handler's goroutine, so
-// draining HTTP handlers drains the slots and nothing leaks.
+// slot calls fn under one of the Workers slots. A job holds exactly one
+// for all of its simulation, and nothing waits for a second slot while
+// holding one. Waiting respects ctx, so a canceled request never occupies
+// a slot and fails with the wait's error; once running, the caller threads
+// the same ctx into the simulator, which polls it. Every simulation runs
+// on its request handler's goroutine, so draining HTTP handlers drains the
+// slots and nothing leaks.
 func (s *Server) slot(ctx context.Context, fn func() error) error {
 	if err := ctx.Err(); err != nil { // select would pick a free slot at random
 		return fmt.Errorf("waiting for a worker slot: %w", err)

@@ -9,8 +9,6 @@ import (
 	"net/http/httptest"
 	"testing"
 	"time"
-
-	"voltron/internal/exp"
 )
 
 // newTestServer returns a Server and an httptest front end.
@@ -253,9 +251,10 @@ func TestMetricsEndpoint(t *testing.T) {
 }
 
 func TestFigureEndpoint(t *testing.T) {
-	suite := exp.NewSuite()
-	suite.Benchmarks = []string{"rawcaudio"}
-	_, ts := newTestServer(t, Config{Suite: suite})
+	s := New(Config{})
+	s.suite.Benchmarks = []string{"rawcaudio"}
+	ts := httptest.NewServer(s.Handler())
+	t.Cleanup(ts.Close)
 	resp, err := http.Get(ts.URL + "/v1/figures/12")
 	if err != nil {
 		t.Fatal(err)

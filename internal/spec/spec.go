@@ -11,6 +11,7 @@
 package spec
 
 import (
+	"context"
 	"crypto/sha256"
 	"encoding/hex"
 	"encoding/json"
@@ -24,6 +25,7 @@ import (
 	"voltron/internal/core"
 	"voltron/internal/ir"
 	"voltron/internal/lang"
+	"voltron/internal/prof"
 	"voltron/internal/trace"
 	"voltron/internal/workload"
 )
@@ -448,9 +450,9 @@ func sourceError(err error) *Error {
 // A source program lowers the program Normalize already checked, so the
 // frontend runs once per job; Build fails on a source spec that was never
 // normalized. Lowering only reads the checked program, so copies of one
-// request may Build concurrently. Bench programs resolve through the
-// server's suite instead (they are pre-built and pre-profiled there), so
-// Build rejects them.
+// request may Build concurrently. Bench programs resolve through an
+// experiment suite instead (exp.Suite.Resolve builds and profiles each
+// once), so Build rejects them.
 func (p *ProgramSpec) Build() (*ir.Program, error) {
 	switch p.Kind {
 	case KindSource:
@@ -584,6 +586,48 @@ func (r *JobRequest) MachineConfig(tr *trace.Tracer) core.Config {
 	return cfg
 }
 
+// Simulate is the job pipeline of every entry point: the service, voltron-run
+// and the experiment suite. p and pr are the resolved program and profile
+// (nil: the compiler profiles p); m is configured by MachineConfig, and its
+// tracer, if any, traces the run. workers bounds measured selection's eval
+// machines and cannot change a result. With cp nil the request compiles
+// fused with its run (compiler.CompileRun), otherwise cp runs. A traced
+// auto run then rechecks its static picks against its stall report
+// (compiler.Recheck, on m); a corrected program reruns on m under a fresh
+// tracer. It returns the compiled artifact (also when a later stage
+// failed), the program that ran, the run and the tracer holding it.
+func (r *JobRequest) Simulate(ctx context.Context, p *ir.Program, pr *prof.Profile, cp *core.CompiledProgram, m *core.Machine,
+	workers int) (compiled, ran *core.CompiledProgram, res *core.RunResult, tr *trace.Tracer, err error) {
+	cfg := m.Config()
+	tr = cfg.Tracer // the run drops it from m
+	opts := r.CompilerOpts()
+	opts.Profile, opts.Workers = pr, workers
+	if cp == nil {
+		cp, res, err = compiler.CompileRun(ctx, p, opts, m)
+	} else {
+		res, err = m.RunContext(ctx, cp)
+	}
+	if err != nil || tr == nil || r.Compiler.Select != "auto" || cp.Selection.Static == 0 {
+		return cp, cp, res, tr, err
+	}
+	// Attaching the rerun's tracer first makes the recheck hand m back
+	// ready to trace the corrected program, without resuming a final run.
+	rerun := trace.New()
+	cfg.Tracer = rerun
+	m.Reset(cfg)
+	ran, reselected, err := compiler.Recheck(ctx, p, cp, tr.Report(), opts, m)
+	if err == nil && len(reselected) > 0 {
+		res, err = m.RunContext(ctx, ran)
+		return cp, ran, res, rerun, err
+	}
+	cfg.Tracer = nil
+	m.Reset(cfg) // no rerun: m drops the unused tracer, as a run does
+	if err != nil {
+		return cp, nil, nil, nil, fmt.Errorf("selection recheck: %w", err)
+	}
+	return cp, cp, res, tr, nil
+}
+
 // DecodeJob decodes one JSON job request. Unknown fields are rejected —
 // including the retired pre-v2 spellings "bench", "benchmark", "mode" and
 // "compiler.static_selection" — and so is anything but whitespace after the
@@ -648,6 +692,16 @@ func StrategyFor(name string) (compiler.Strategy, bool) {
 		}
 	}
 	return 0, false
+}
+
+// StrategyName is StrategyFor's inverse: the wire name of s.
+func StrategyName(s compiler.Strategy) string {
+	for _, e := range strategyTable {
+		if e.s == s {
+			return e.info.Name
+		}
+	}
+	return s.String()
 }
 
 // strategyNames renders the strategy set for usage and error text.
