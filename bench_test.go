@@ -26,8 +26,11 @@ func benchFigure(b *testing.B, fig int) {
 	b.Helper()
 	var last *exp.Table
 	for i := 0; i < b.N; i++ {
-		s := exp.NewSuite()
-		t, err := s.Figure(fig)
+		harness, err := exp.NewSuite().Harness(fig)
+		if err != nil {
+			b.Fatal(err)
+		}
+		t, err := harness()
 		if err != nil {
 			b.Fatal(err)
 		}

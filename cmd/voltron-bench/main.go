@@ -165,7 +165,11 @@ func run(args []string, stdout, stderr io.Writer) error {
 			fmt.Fprintln(stdout)
 			continue
 		}
-		t, err := s.Figure(f)
+		harness, err := s.Harness(f)
+		if err != nil {
+			return err
+		}
+		t, err := harness()
 		if err != nil {
 			return err
 		}

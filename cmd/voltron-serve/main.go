@@ -36,10 +36,10 @@ import (
 	"net/http"
 	"os"
 	"os/signal"
-	"sync"
 	"syscall"
 	"time"
 
+	"voltron/internal/par"
 	"voltron/internal/server"
 )
 
@@ -191,20 +191,8 @@ func runSmoke(srv *server.Server, metricsOut string, stdout io.Writer) error {
 		{"kind": "pipeline", "name": "p", "table": 16384, "n": 16384, "work": 16},
 		{"kind": "doall-map", "name": "m", "n": 4096, "work": 8}
 	]}, "strategy": "llp", "cores": 4}`
-	var wg sync.WaitGroup
-	errs := make([]error, 4)
-	for i := range errs {
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			errs[i] = post(inline)
-		}(i)
-	}
-	wg.Wait()
-	for _, err := range errs {
-		if err != nil {
-			return err
-		}
+	if err := par.Each(4, 4, func(int) error { return post(inline) }); err != nil {
+		return err
 	}
 	if err := get("/v1/figures/12"); err != nil {
 		return err

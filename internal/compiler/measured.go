@@ -7,6 +7,7 @@ import (
 
 	"voltron/internal/core"
 	"voltron/internal/ir"
+	"voltron/internal/par"
 )
 
 // Measured strategy selection (paper §4.2): each region's candidate
@@ -76,9 +77,6 @@ type regionPlan struct {
 	serialEst float64
 	// doall is the statistical-DOALL lowering, taken outright (Hybrid).
 	doall *core.CompiledRegion
-	// err is a generation failure that must abort compilation, reported in
-	// region order.
-	err error
 	// candidates in fixed order: coupled ILP first, then fine-grain TLP.
 	candidates []regionCandidate
 }
@@ -229,50 +227,39 @@ func measureRegion(ctx context.Context, pool *evalPool, cp *core.CompiledProgram
 // independent of scheduling.
 func planRegions(p *ir.Program, opts Options) ([]*regionPlan, error) {
 	plans := make([]*regionPlan, len(p.Regions))
-	sem := make(chan struct{}, opts.Workers)
-	var wg sync.WaitGroup
-	for i, r := range p.Regions {
-		wg.Add(1)
-		go func(i int, r *ir.Region) {
-			defer wg.Done()
-			sem <- struct{}{}
-			defer func() { <-sem }()
-			plans[i] = planRegion(r, opts)
-		}(i, r)
-	}
-	wg.Wait()
-	for _, pl := range plans {
-		if pl.err != nil {
-			return nil, pl.err
-		}
+	err := par.Each(len(plans), opts.Workers, func(i int) (err error) {
+		plans[i], err = planRegion(p.Regions[i], opts)
+		return err
+	})
+	if err != nil {
+		return nil, err
 	}
 	return plans, nil
 }
 
 // planRegion computes one region's selection plan: the serial lowering,
 // the outright DOALL take (Hybrid), and the measurable candidates with
-// their static estimates.
-func planRegion(r *ir.Region, opts Options) *regionPlan {
+// their static estimates, or the generation failure that must abort
+// compilation.
+func planRegion(r *ir.Region, opts Options) (*regionPlan, error) {
 	pl := &regionPlan{}
 	serial, err := genSerial(r, opts.Cores)
 	if err != nil {
-		pl.err = fmt.Errorf("region %q: %w", r.Name, err)
-		return pl
+		return nil, fmt.Errorf("region %q: %w", r.Name, err)
 	}
 	pl.serial = serial
 	pl.serialEst = EstimateCycles(serial, r, opts.Profile)
 	pl.small = opts.Profile != nil && opts.Profile.RegionOps != nil &&
 		r.ID < len(opts.Profile.RegionOps) && opts.Profile.RegionOps[r.ID] < minRegionOps
 	if pl.small {
-		return pl
+		return pl, nil
 	}
 	if opts.Strategy == Hybrid {
 		if cr, ok, err := tryDOALL(r, opts); err != nil {
-			pl.err = err
-			return pl
+			return nil, err
 		} else if ok {
 			pl.doall = cr
-			return pl
+			return pl, nil
 		}
 	}
 	if opts.Strategy == Hybrid || opts.Strategy == ForceILP {
@@ -288,7 +275,7 @@ func planRegion(r *ir.Region, opts Options) *regionPlan {
 				regionCandidate{cr: ftlp, choice: ChoseFTLP, est: est})
 		}
 	}
-	return pl
+	return pl, nil
 }
 
 // evalPool simulates candidate lowerings concurrently, each resuming from
@@ -354,7 +341,8 @@ func newEvalPool(opts Options, cp *core.CompiledProgram, final *core.Machine) *e
 // candidates w, w+n, … in order; the fixed assignment is safe because a
 // result depends only on the committed checkpoint and the candidate, and a
 // reused machine runs exactly like a fresh one. It returns only after every
-// candidate finished — the per-region barrier.
+// candidate finished — the per-region barrier — and a candidate's panic is
+// re-raised on the caller's goroutine (par.Each).
 func (p *evalPool) measure(ctx context.Context, region int, cands []*core.CompiledRegion) []int64 {
 	cycles := make([]int64, len(cands))
 	if !p.advance(ctx, region) {
@@ -371,17 +359,13 @@ func (p *evalPool) measure(ctx context.Context, region int, cands []*core.Compil
 			p.ends[k] = checkpoints.Get().(*core.Checkpoint)
 		}
 	}
-	var wg sync.WaitGroup
-	for w, ew := range p.workers[:min(len(p.workers), len(cands))] {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for k := w; k < len(cands); k += len(p.workers) {
-				cycles[k] = ew.run(ctx, p.committed, region, cands[k], p.ends[k])
-			}
-		}()
-	}
-	wg.Wait()
+	n := min(len(p.workers), len(cands))
+	par.Each(n, n, func(w int) error {
+		for k := w; k < len(cands); k += len(p.workers) {
+			cycles[k] = p.workers[w].run(ctx, p.committed, region, cands[k], p.ends[k])
+		}
+		return nil
+	})
 	return cycles
 }
 

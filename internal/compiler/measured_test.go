@@ -385,3 +385,43 @@ func (c *pollCanceler) Err() error {
 	}
 	return c.Context.Err()
 }
+
+// TestCandidatePanicReachesCaller makes every candidate run of a measured
+// region panic (the background program has no source) and requires the
+// panic on measureRegions' caller, where the server's cache computation
+// recovers it, at one eval worker and at two. A panic left on an eval
+// goroutine would kill the process instead. 164.gzip's region 0 has three
+// candidates, so two workers run two of them at once.
+func TestCandidatePanicReachesCaller(t *testing.T) {
+	p, err := workload.Build("164.gzip")
+	if err != nil {
+		t.Fatal(err)
+	}
+	pr, err := prof.Collect(p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, workers := range []int{1, 2} {
+		opts := Options{Cores: 4, Strategy: Hybrid, Profile: pr, Workers: workers}
+		plans, err := planRegions(p, opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(plans[0].candidates) == 0 {
+			t.Fatal("region 0 has no candidate besides serial: two workers would not overlap")
+		}
+		cp := &core.CompiledProgram{Name: p.Name, Cores: opts.Cores,
+			Regions: make([]*core.CompiledRegion, len(plans))}
+		for i, pl := range plans {
+			cp.Regions[i] = pl.serial
+		}
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("workers=%d: measureRegions returned without panicking", workers)
+				}
+			}()
+			measureRegions(context.Background(), opts, cp, plans, []int{0}, nil)
+		}()
+	}
+}

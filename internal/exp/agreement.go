@@ -6,11 +6,11 @@ import (
 	"fmt"
 	"io"
 	"strings"
-	"sync"
 
 	"voltron/internal/compiler"
 	"voltron/internal/core"
 	"voltron/internal/ir"
+	"voltron/internal/par"
 	"voltron/internal/prof"
 	"voltron/internal/workload"
 )
@@ -112,22 +112,12 @@ func (s *Suite) SelectionAgreement(nrand int) (*AgreementReport, error) {
 	}
 	rep := &AgreementReport{Cores: agreementCores, Threshold: s.SelectThreshold}
 	rowsPer := make([][]AgreementRow, len(jobs))
-	errs := make([]error, len(jobs))
-	var wg sync.WaitGroup
-	for i, j := range jobs {
-		wg.Add(1)
-		go func(i int, j job) {
-			defer wg.Done()
-			s.acquire()
-			defer s.release()
-			rowsPer[i], errs[i] = s.agreeProgram(j.name, j.build)
-		}(i, j)
-	}
-	wg.Wait()
-	for _, err := range errs {
-		if err != nil {
-			return nil, err
-		}
+	err := par.Each(len(jobs), s.workers(), func(i int) (err error) {
+		rowsPer[i], err = s.agreeProgram(jobs[i].name, jobs[i].build)
+		return err
+	})
+	if err != nil {
+		return nil, err
 	}
 	staticAgree, autoAgree := 0, 0
 	for _, rows := range rowsPer {

@@ -18,6 +18,7 @@ import (
 	"voltron/internal/compiler"
 	"voltron/internal/core"
 	"voltron/internal/ir"
+	"voltron/internal/par"
 	"voltron/internal/prof"
 	"voltron/internal/spec"
 	"voltron/internal/workload"
@@ -108,9 +109,8 @@ func (t *Table) WriteJSON(w io.Writer) error {
 
 // Suite caches compiled runs so figures sharing configurations do not
 // re-simulate. A Suite is safe for concurrent use: several figure
-// harnesses may share one Suite, each (bench, strategy, cores)
-// configuration is simulated exactly once (per-key singleflight), and the
-// number of concurrent simulations is bounded by Workers.
+// harnesses may share one Suite, and each (bench, strategy, cores)
+// configuration is simulated exactly once (per-key singleflight).
 type Suite struct {
 	mu    sync.Mutex
 	runs  map[runKey]*flight[*core.RunResult]
@@ -118,10 +118,10 @@ type Suite struct {
 	progs map[string]*flight[*ir.Program]
 	// Benchmarks restricts the suite (defaults to all 25).
 	Benchmarks []string
-	// Workers bounds concurrent simulations (and is forwarded to the
-	// compiler's measured-selection pool). Defaults to
-	// runtime.GOMAXPROCS(0); set it before the first Run. 1 gives fully
-	// sequential evaluation. Results are identical for every value.
+	// Workers bounds the benchmarks one harness evaluates at once and is
+	// forwarded to the compiler's measured-selection pool. Defaults to
+	// runtime.GOMAXPROCS(0); 1 gives fully sequential evaluation. Results
+	// are identical for every value.
 	Workers int
 	// Select picks the compiler's strategy-selection mode for every compile
 	// (measured, the default; static; or the tiered auto mode) and
@@ -130,8 +130,6 @@ type Suite struct {
 	// only, so one Suite evaluates one selection configuration.
 	Select          compiler.SelectionMode
 	SelectThreshold float64
-	semOnce         sync.Once
-	sem             chan struct{}
 }
 
 type runKey struct {
@@ -185,21 +183,13 @@ func NewSuite() *Suite {
 	}
 }
 
-// workers returns the effective simulation bound.
+// workers returns the effective fan-out bound.
 func (s *Suite) workers() int {
 	if s.Workers > 0 {
 		return s.Workers
 	}
 	return runtime.GOMAXPROCS(0)
 }
-
-// acquire takes one slot of the shared simulation pool.
-func (s *Suite) acquire() {
-	s.semOnce.Do(func() { s.sem = make(chan struct{}, s.workers()) })
-	s.sem <- struct{}{}
-}
-
-func (s *Suite) release() { <-s.sem }
 
 // Program builds (and caches) one benchmark. The same IR instance must
 // serve profiling and every compile: profiles are keyed by op identity.
@@ -258,11 +248,6 @@ func (s *Suite) Run(bench string, strat compiler.Strategy, cores int) (*core.Run
 		if err != nil {
 			return nil, err
 		}
-		// Compile and simulate under the bounded pool. The slot is taken
-		// only here — never while waiting on another flight — so nested
-		// cache fills cannot deadlock the pool.
-		s.acquire()
-		defer s.release()
 		_, _, res, _, err := req.Simulate(context.Background(), p, pr, nil, core.New(req.MachineConfig(nil)), s.workers())
 		if err != nil {
 			return nil, fmt.Errorf("%s/%v/%d: %w", bench, strat, cores, err)
@@ -298,31 +283,20 @@ func (s *Suite) sortedBenchmarks() []string {
 	return out
 }
 
-// tableRows fans fn out over the suite's benchmarks — one goroutine per
-// benchmark, with the simulation load bounded by the suite's shared worker
-// pool — and assembles the rows in the paper's order regardless of
-// completion order. The first error in row order wins, so failures are
-// reported deterministically.
-func (s *Suite) tableRows(fn func(bench string) ([]float64, error)) ([]Row, error) {
+// tableRows fills t's rows by fanning fn out over the suite's benchmarks,
+// Workers at a time, and returns t. Rows are in the paper's order
+// regardless of completion order, and the first error in row order wins,
+// so failures are reported deterministically.
+func (s *Suite) tableRows(t *Table, fn func(bench string) ([]float64, error)) (*Table, error) {
 	benches := s.sortedBenchmarks()
-	rows := make([]Row, len(benches))
-	errs := make([]error, len(benches))
-	var wg sync.WaitGroup
-	for i, b := range benches {
-		wg.Add(1)
-		go func(i int, b string) {
-			defer wg.Done()
-			var vals []float64
-			if vals, errs[i] = fn(b); errs[i] == nil {
-				rows[i] = Row{Name: b, Values: vals}
-			}
-		}(i, b)
+	t.Rows = make([]Row, len(benches))
+	err := par.Each(len(benches), s.workers(), func(i int) error {
+		vals, err := fn(benches[i])
+		t.Rows[i] = Row{Name: benches[i], Values: vals}
+		return err
+	})
+	if err != nil {
+		return nil, err
 	}
-	wg.Wait()
-	for _, err := range errs {
-		if err != nil {
-			return nil, err
-		}
-	}
-	return rows, nil
+	return t, nil
 }

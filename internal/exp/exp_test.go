@@ -76,7 +76,11 @@ func TestSpeedupAtLeastHalf(t *testing.T) {
 func TestFigureTablesWellFormed(t *testing.T) {
 	s := smallSuite()
 	for _, fig := range []int{3, 10, 11, 12, 13, 14} {
-		tab, err := s.Figure(fig)
+		harness, err := s.Harness(fig)
+		if err != nil {
+			t.Fatalf("figure %d: %v", fig, err)
+		}
+		tab, err := harness()
 		if err != nil {
 			t.Fatalf("figure %d: %v", fig, err)
 		}
@@ -94,7 +98,7 @@ func TestFigureTablesWellFormed(t *testing.T) {
 			}
 		}
 	}
-	if _, err := s.Figure(99); err == nil {
+	if _, err := s.Harness(99); err == nil {
 		t.Error("unknown figure accepted")
 	}
 }

@@ -8,11 +8,10 @@ import (
 )
 
 // Every figure harness fans out over the benchmarks (Suite.tableRows): rows
-// are computed concurrently, bounded by the suite's worker pool, and
-// assembled in the paper's order. The per-run singleflight cache means
-// several harnesses can run concurrently over one Suite without duplicating
-// a single simulation, and the tables are identical to sequential
-// generation.
+// are computed Suite.Workers at a time and assembled in the paper's order.
+// The per-run singleflight cache means several harnesses can run
+// concurrently over one Suite without duplicating a single simulation, and
+// the tables are identical to sequential generation.
 
 // Fig3 reproduces Figure 3: the fraction of dynamic execution best
 // accelerated by each parallelism class on a 4-core system. Following the
@@ -25,7 +24,7 @@ func (s *Suite) Fig3() (*Table, error) {
 		Title:   "Figure 3: breakdown of exploitable parallelism, 4-core system (fractions)",
 		Columns: []string{"ILP", "fine-grain TLP", "LLP", "single core"},
 	}
-	rows, err := s.tableRows(func(b string) ([]float64, error) {
+	return s.tableRows(t, func(b string) ([]float64, error) {
 		base, err := s.Run(b, compiler.Serial, 1)
 		if err != nil {
 			return nil, err
@@ -60,11 +59,6 @@ func (s *Suite) Fig3() (*Table, error) {
 		}
 		return frac, nil
 	})
-	if err != nil {
-		return nil, err
-	}
-	t.Rows = rows
-	return t, nil
 }
 
 // figSpeedups builds a per-technique speedup table (Figures 10 and 11).
@@ -74,7 +68,7 @@ func (s *Suite) figSpeedups(cores int, title string) (*Table, error) {
 		Columns: []string{"ILP", "fine-grain TLP", "LLP"},
 	}
 	strategies := []compiler.Strategy{compiler.ForceILP, compiler.ForceFTLP, compiler.ForceLLP}
-	rows, err := s.tableRows(func(b string) ([]float64, error) {
+	return s.tableRows(t, func(b string) ([]float64, error) {
 		var vals []float64
 		for _, strat := range strategies {
 			sp, err := s.Speedup(b, strat, cores)
@@ -85,11 +79,6 @@ func (s *Suite) figSpeedups(cores int, title string) (*Table, error) {
 		}
 		return vals, nil
 	})
-	if err != nil {
-		return nil, err
-	}
-	t.Rows = rows
-	return t, nil
 }
 
 // Fig10 reproduces Figure 10: per-technique speedups on 2 cores.
@@ -114,7 +103,7 @@ func (s *Suite) Fig12() (*Table, error) {
 			"d I-stalls", "d D-stalls", "d recv", "d pred recv", "d sync",
 		},
 	}
-	rows, err := s.tableRows(func(b string) ([]float64, error) {
+	return s.tableRows(t, func(b string) ([]float64, error) {
 		base, err := s.Run(b, compiler.Serial, 1)
 		if err != nil {
 			return nil, err
@@ -139,11 +128,6 @@ func (s *Suite) Fig12() (*Table, error) {
 			dc.AvgStallFraction(stats.SyncCallRet, ref),
 		}, nil
 	})
-	if err != nil {
-		return nil, err
-	}
-	t.Rows = rows
-	return t, nil
 }
 
 // Fig13 reproduces Figure 13: hybrid-parallelism speedups on 2 and 4 cores.
@@ -152,7 +136,7 @@ func (s *Suite) Fig13() (*Table, error) {
 		Title:   "Figure 13: speedup on 2-core and 4-core Voltron exploiting hybrid parallelism",
 		Columns: []string{"2 core", "4 core"},
 	}
-	rows, err := s.tableRows(func(b string) ([]float64, error) {
+	return s.tableRows(t, func(b string) ([]float64, error) {
 		s2, err := s.Speedup(b, compiler.Hybrid, 2)
 		if err != nil {
 			return nil, err
@@ -163,11 +147,6 @@ func (s *Suite) Fig13() (*Table, error) {
 		}
 		return []float64{s2, s4}, nil
 	})
-	if err != nil {
-		return nil, err
-	}
-	t.Rows = rows
-	return t, nil
 }
 
 // Fig14 reproduces Figure 14: fraction of hybrid execution time spent in
@@ -177,7 +156,7 @@ func (s *Suite) Fig14() (*Table, error) {
 		Title:   "Figure 14: breakdown of time spent in each execution mode (hybrid, 4 cores)",
 		Columns: []string{"coupled", "decoupled"},
 	}
-	rows, err := s.tableRows(func(b string) ([]float64, error) {
+	return s.tableRows(t, func(b string) ([]float64, error) {
 		r, err := s.Run(b, compiler.Hybrid, 4)
 		if err != nil {
 			return nil, err
@@ -187,28 +166,24 @@ func (s *Suite) Fig14() (*Table, error) {
 			r.ModeFraction(stats.ModeDecoupled),
 		}, nil
 	})
-	if err != nil {
-		return nil, err
-	}
-	t.Rows = rows
-	return t, nil
 }
 
-// Figure returns the named figure's table.
-func (s *Suite) Figure(n int) (*Table, error) {
+// Harness returns the harness that regenerates figure n, or an error when
+// the suite has none; only calling the harness simulates.
+func (s *Suite) Harness(n int) (func() (*Table, error), error) {
 	switch n {
 	case 3:
-		return s.Fig3()
+		return s.Fig3, nil
 	case 10:
-		return s.Fig10()
+		return s.Fig10, nil
 	case 11:
-		return s.Fig11()
+		return s.Fig11, nil
 	case 12:
-		return s.Fig12()
+		return s.Fig12, nil
 	case 13:
-		return s.Fig13()
+		return s.Fig13, nil
 	case 14:
-		return s.Fig14()
+		return s.Fig14, nil
 	}
 	return nil, fmt.Errorf("no harness for figure %d (7-9 are kernel examples: see Fig7to9)", n)
 }

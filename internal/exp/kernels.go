@@ -2,11 +2,11 @@ package exp
 
 import (
 	"context"
-	"sync"
 
 	"voltron/internal/compiler"
 	"voltron/internal/core"
 	"voltron/internal/ir"
+	"voltron/internal/par"
 )
 
 // The paper's worked kernel examples (Figures 7-9): the gsmdecode DOALL
@@ -123,7 +123,7 @@ type KernelResult struct {
 }
 
 // Fig7to9 measures the three kernels on a 2-core system. The kernels are
-// evaluated concurrently (each goroutine owns its kernel's program, so the
+// evaluated concurrently (each call owns its kernel's program, so the
 // serial and parallel compiles of one kernel never race); results are
 // reported in figure order.
 func Fig7to9() ([]KernelResult, error) {
@@ -138,34 +138,25 @@ func Fig7to9() ([]KernelResult, error) {
 		{"Fig9 gsmdecode ILP", GsmILPKernel(512), compiler.ForceILP, 1.78},
 	}
 	out := make([]KernelResult, len(cases))
-	errs := make([]error, len(cases))
-	var wg sync.WaitGroup
-	for i, c := range cases {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			base, err := runProgram(c.p, compiler.Serial, 1)
-			if err != nil {
-				errs[i] = err
-				return
-			}
-			par, err := runProgram(c.p, c.strat, 2)
-			if err != nil {
-				errs[i] = err
-				return
-			}
-			out[i] = KernelResult{
-				Name:          c.name,
-				PaperSpeedup:  c.paper,
-				Measured2Core: float64(base.TotalCycles) / float64(par.TotalCycles),
-			}
-		}()
-	}
-	wg.Wait()
-	for _, err := range errs {
+	err := par.Each(len(cases), len(cases), func(i int) error {
+		c := cases[i]
+		base, err := runProgram(c.p, compiler.Serial, 1)
 		if err != nil {
-			return nil, err
+			return err
 		}
+		fast, err := runProgram(c.p, c.strat, 2)
+		if err != nil {
+			return err
+		}
+		out[i] = KernelResult{
+			Name:          c.name,
+			PaperSpeedup:  c.paper,
+			Measured2Core: float64(base.TotalCycles) / float64(fast.TotalCycles),
+		}
+		return nil
+	})
+	if err != nil {
+		return nil, err
 	}
 	return out, nil
 }

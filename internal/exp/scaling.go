@@ -24,7 +24,7 @@ func (s *Suite) Scaling() (*Table, error) {
 		Title:   "Extension: hybrid speedup scaling (coupled groups capped at 4 cores)",
 		Columns: coreColumns(),
 	}
-	rows, err := s.tableRows(func(b string) ([]float64, error) {
+	return s.tableRows(t, func(b string) ([]float64, error) {
 		var vals []float64
 		for _, n := range ScalingCores {
 			sp, err := s.Speedup(b, compiler.Hybrid, n)
@@ -35,11 +35,6 @@ func (s *Suite) Scaling() (*Table, error) {
 		}
 		return vals, nil
 	})
-	if err != nil {
-		return nil, err
-	}
-	t.Rows = rows
-	return t, nil
 }
 
 // scalingKinds is the stall-attribution split of the scalability figure:

@@ -12,7 +12,8 @@ import (
 	"fmt"
 	"net/http"
 	"net/http/httptest"
-	"sync"
+
+	"voltron/internal/par"
 )
 
 // Cluster is a set of in-process replicas sharing a ring. Create with
@@ -74,13 +75,8 @@ func (c *Cluster) URLs() []string {
 // forward to replica B, so a sequential shutdown starting at B could wait on
 // A's half-open request.
 func (c *Cluster) Close() {
-	var wg sync.WaitGroup
-	for _, f := range c.frontend {
-		wg.Add(1)
-		go func(f *httptest.Server) {
-			defer wg.Done()
-			f.Close()
-		}(f)
-	}
-	wg.Wait()
+	par.Each(len(c.frontend), len(c.frontend), func(i int) error {
+		c.frontend[i].Close()
+		return nil
+	})
 }

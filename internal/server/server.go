@@ -34,7 +34,8 @@ import (
 
 // Config parameterizes a Server.
 type Config struct {
-	// Workers bounds concurrently running simulations. Defaults to
+	// Workers bounds concurrently running simulations: a job or a figure
+	// holds one slot for all of its simulation. Defaults to
 	// runtime.GOMAXPROCS(0). Requests beyond the bound queue (their wait
 	// shows up as the queue_depth metric).
 	Workers int
@@ -153,7 +154,7 @@ func New(cfg Config) *Server {
 		cfg.Self = "self"
 	}
 	suite := exp.NewSuite()
-	suite.Workers = cfg.Workers
+	suite.Workers = 1 // a figure runs in one worker slot, like a job
 	s := &Server{
 		cfg:       cfg,
 		suite:     suite,
@@ -515,19 +516,7 @@ func (s *Server) handleJob(w http.ResponseWriter, r *http.Request) {
 	}
 	s.results[out.status].Inc()
 	if err != nil {
-		s.errorsN.Inc()
-		switch {
-		case errors.Is(err, context.DeadlineExceeded):
-			s.canceled.Inc()
-			s.writeError(w, http.StatusGatewayTimeout, err)
-		case errors.Is(err, context.Canceled):
-			s.canceled.Inc()
-			// 499 Client Closed Request (nginx convention): the client is
-			// usually gone, but write a status anyway for proxies and tests.
-			s.writeError(w, 499, err)
-		default:
-			s.writeError(w, http.StatusInternalServerError, err)
-		}
+		s.writeFailure(w, err)
 		return
 	}
 	s.latency[m.strategy].Observe(time.Since(startedAt))
@@ -911,16 +900,34 @@ func (s *Server) slot(ctx context.Context, fn func() error) error {
 
 // handleFigure regenerates one paper figure through the shared suite. The
 // suite memoizes each (bench, strategy, cores) run, so repeated figure
-// requests re-simulate nothing.
+// requests re-simulate nothing. A figure is admitted like a job and
+// regenerates in one worker slot, waiting for it under the RequestTimeout;
+// the suite does not poll the deadline, so a running figure finishes.
 func (s *Server) handleFigure(w http.ResponseWriter, r *http.Request) {
 	n, err := strconv.Atoi(r.PathValue("n"))
 	if err != nil {
 		s.writeError(w, http.StatusBadRequest, fmt.Errorf("bad figure number %q", r.PathValue("n")))
 		return
 	}
-	tab, err := s.suite.Figure(n)
+	harness, err := s.suite.Harness(n)
 	if err != nil {
 		s.writeError(w, http.StatusBadRequest, err)
+		return
+	}
+	release, depth, ok := s.adm.admit(admSimulate)
+	if !ok {
+		s.writeShed(w, admSimulate, depth)
+		return
+	}
+	defer release()
+	ctx, cancel := context.WithTimeout(r.Context(), s.cfg.RequestTimeout)
+	defer cancel()
+	var tab *exp.Table
+	if err := s.slot(ctx, func() (err error) {
+		tab, err = harness()
+		return err
+	}); err != nil {
+		s.writeFailure(w, err)
 		return
 	}
 	w.Header().Set("Content-Type", "application/json")
@@ -939,6 +946,25 @@ func (s *Server) writeJSON(w http.ResponseWriter, status int, v any) {
 	w.WriteHeader(status)
 	if err := json.NewEncoder(w).Encode(v); err != nil {
 		s.errorsN.Inc()
+	}
+}
+
+// writeFailure answers a request whose simulation failed: 504 when the
+// request ran out of time, 499 when its client went away and 500 for
+// anything else.
+func (s *Server) writeFailure(w http.ResponseWriter, err error) {
+	s.errorsN.Inc()
+	switch {
+	case errors.Is(err, context.DeadlineExceeded):
+		s.canceled.Inc()
+		s.writeError(w, http.StatusGatewayTimeout, err)
+	case errors.Is(err, context.Canceled):
+		s.canceled.Inc()
+		// 499 Client Closed Request (nginx convention): the client is
+		// usually gone, but write a status anyway for proxies and tests.
+		s.writeError(w, 499, err)
+	default:
+		s.writeError(w, http.StatusInternalServerError, err)
 	}
 }
 

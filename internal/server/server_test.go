@@ -9,6 +9,8 @@ import (
 	"net/http/httptest"
 	"testing"
 	"time"
+
+	"voltron/internal/spec"
 )
 
 // newTestServer returns a Server and an httptest front end.
@@ -279,6 +281,37 @@ func TestFigureEndpoint(t *testing.T) {
 	}
 	if resp, _ := http.Get(ts.URL + "/v1/figures/99"); resp.StatusCode != http.StatusBadRequest {
 		t.Errorf("figure 99 status = %d, want 400", resp.StatusCode)
+	}
+}
+
+// TestFigureWaitsForWorkerSlot holds the only worker slot: a figure
+// request must wait for it under the RequestTimeout and answer 504 without
+// leaving a queued waiter, and regenerate once the slot is free.
+func TestFigureWaitsForWorkerSlot(t *testing.T) {
+	s, ts := newTestServer(t, Config{Workers: 1, RequestTimeout: 200 * time.Millisecond})
+	s.suite.Benchmarks = []string{"rawcaudio"}
+	get := func() (int, []byte) {
+		t.Helper()
+		resp, err := http.Get(ts.URL + "/v1/figures/12")
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer resp.Body.Close()
+		b, _ := io.ReadAll(resp.Body)
+		return resp.StatusCode, b
+	}
+	s.runSem <- struct{}{}
+	status, b := get()
+	var er ErrorResponse
+	if err := json.Unmarshal(b, &er); err != nil || status != http.StatusGatewayTimeout || er.Code != spec.ErrTimeout {
+		t.Errorf("figure behind a held slot: status %d, body %s; want 504 %q", status, b, spec.ErrTimeout)
+	}
+	if m := s.Metrics(); m.QueueDepth != 0 {
+		t.Errorf("queue_depth = %d after the timed-out figure, want 0", m.QueueDepth)
+	}
+	<-s.runSem
+	if status, b := get(); status != http.StatusOK {
+		t.Errorf("figure with a free slot: status %d, body %s", status, b)
 	}
 }
 
