@@ -10,14 +10,15 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"math"
 	"runtime"
 	"sort"
 	"strings"
-	"sync"
 
 	"voltron/internal/compiler"
 	"voltron/internal/core"
 	"voltron/internal/ir"
+	"voltron/internal/lru"
 	"voltron/internal/par"
 	"voltron/internal/prof"
 	"voltron/internal/spec"
@@ -110,12 +111,13 @@ func (t *Table) WriteJSON(w io.Writer) error {
 // Suite caches compiled runs so figures sharing configurations do not
 // re-simulate. A Suite is safe for concurrent use: several figure
 // harnesses may share one Suite, and each (bench, strategy, cores)
-// configuration is simulated exactly once (per-key singleflight).
+// configuration is simulated exactly once (per-key singleflight). Only
+// successes are cached: a failed or panicking computation returns its error
+// and the next call for the key computes again.
 type Suite struct {
-	mu    sync.Mutex
-	runs  map[runKey]*flight[*core.RunResult]
-	profs map[string]*flight[*prof.Profile]
-	progs map[string]*flight[*ir.Program]
+	runs  *lru.Cache[runKey, *core.RunResult]
+	profs *lru.Cache[string, *prof.Profile]
+	progs *lru.Cache[string, *ir.Program]
 	// Benchmarks restricts the suite (defaults to all 25).
 	Benchmarks []string
 	// Workers bounds the benchmarks one harness evaluates at once and is
@@ -138,46 +140,13 @@ type runKey struct {
 	cores int
 }
 
-// flight is one singleflight slot: the first claimant computes the value
-// and closes done; everyone else blocks on done. Simulations are
-// deterministic, so errors are cached alongside values.
-type flight[T any] struct {
-	done chan struct{}
-	val  T
-	err  error
-}
-
-// once returns the flight for key in m, claiming it (claimed=true) when the
-// caller is the first and must compute the value.
-func once[K comparable, T any](s *Suite, m map[K]*flight[T], key K) (f *flight[T], claimed bool) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if f, ok := m[key]; ok {
-		return f, false
-	}
-	f = &flight[T]{done: make(chan struct{})}
-	m[key] = f
-	return f, true
-}
-
-// do resolves key in m via singleflight, invoking fn at most once.
-func do[K comparable, T any](s *Suite, m map[K]*flight[T], key K, fn func() (T, error)) (T, error) {
-	f, claimed := once(s, m, key)
-	if claimed {
-		f.val, f.err = fn()
-		close(f.done)
-	} else {
-		<-f.done
-	}
-	return f.val, f.err
-}
-
-// NewSuite creates an empty result cache over the full benchmark list.
+// NewSuite creates an empty result cache over the full benchmark list. The
+// caches never evict, so no configuration is simulated twice.
 func NewSuite() *Suite {
 	return &Suite{
-		runs:       map[runKey]*flight[*core.RunResult]{},
-		profs:      map[string]*flight[*prof.Profile]{},
-		progs:      map[string]*flight[*ir.Program]{},
+		runs:       lru.New[runKey, *core.RunResult](math.MaxInt),
+		profs:      lru.New[string, *prof.Profile](math.MaxInt),
+		progs:      lru.New[string, *ir.Program](math.MaxInt),
 		Benchmarks: workload.Names(),
 		Workers:    runtime.GOMAXPROCS(0),
 	}
@@ -197,9 +166,10 @@ func (s *Suite) workers() int {
 // (compiling it is fine, also concurrently: the compiler's only in-place
 // pass is guarded by ir.Program.PrepareOnce).
 func (s *Suite) Program(bench string) (*ir.Program, error) {
-	return do(s, s.progs, bench, func() (*ir.Program, error) {
+	p, _, err := s.progs.Get(context.Background(), bench, func() (*ir.Program, error) {
 		return workload.Build(bench)
 	})
+	return p, err
 }
 
 // Profile collects (and caches) the profile of one benchmark. Profiling
@@ -207,13 +177,14 @@ func (s *Suite) Program(bench string) (*ir.Program, error) {
 // profile first), so the profiling interpreter never overlaps the
 // compiler's one-shot IR cleanup.
 func (s *Suite) Profile(bench string) (*prof.Profile, error) {
-	return do(s, s.profs, bench, func() (*prof.Profile, error) {
+	pr, _, err := s.profs.Get(context.Background(), bench, func() (*prof.Profile, error) {
 		p, err := s.Program(bench)
 		if err != nil {
 			return nil, err
 		}
 		return prof.Collect(p)
 	})
+	return pr, err
 }
 
 // Resolve materializes a normalized job's program. Benchmarks come from the
@@ -237,7 +208,7 @@ func (s *Suite) Resolve(req *spec.JobRequest) (*ir.Program, *prof.Profile, error
 // other entry point (spec.JobRequest.Simulate). Concurrent calls with the
 // same key share one simulation.
 func (s *Suite) Run(bench string, strat compiler.Strategy, cores int) (*core.RunResult, error) {
-	return do(s, s.runs, runKey{bench, strat, cores}, func() (*core.RunResult, error) {
+	res, _, err := s.runs.Get(context.Background(), runKey{bench, strat, cores}, func() (*core.RunResult, error) {
 		req := &spec.JobRequest{
 			Program:  &spec.ProgramSpec{Kind: spec.KindBench, Bench: bench},
 			Strategy: spec.StrategyName(strat),
@@ -254,6 +225,7 @@ func (s *Suite) Run(bench string, strat compiler.Strategy, cores int) (*core.Run
 		}
 		return res, nil
 	})
+	return res, err
 }
 
 // Speedup returns serial cycles divided by the configuration's cycles.

@@ -3,10 +3,14 @@ package exp
 import (
 	"bytes"
 	"encoding/json"
+	"errors"
+	"fmt"
 	"strings"
 	"testing"
+	"time"
 
 	"voltron/internal/compiler"
+	"voltron/internal/lru"
 	"voltron/internal/stats"
 )
 
@@ -53,6 +57,50 @@ func TestSuiteCachesRuns(t *testing.T) {
 	}
 	if r1 != r2 {
 		t.Error("identical configurations re-simulated")
+	}
+}
+
+// TestSuiteForgetsUnknownPrograms: the service resolves client-chosen
+// benchmark names through Program, so a failed build must not stay cached.
+func TestSuiteForgetsUnknownPrograms(t *testing.T) {
+	s := NewSuite()
+	for i := 0; i < 100; i++ {
+		if _, err := s.Program(fmt.Sprintf("no-such-bench-%d", i)); err == nil {
+			t.Fatalf("unknown benchmark %d built", i)
+		}
+	}
+	if n := s.progs.Len(); n != 0 {
+		t.Errorf("%d failed builds cached, want 0", n)
+	}
+}
+
+// TestSuitePanicFreesKey: a panicking computation returns an error to its
+// caller and leaves its key free, so the next call for the key computes
+// instead of blocking on a flight that never lands.
+func TestSuitePanicFreesKey(t *testing.T) {
+	s := NewSuite()
+	const bench = "gsmdecode"
+	good, err := s.Program(bench)
+	if err != nil {
+		t.Fatal(err)
+	}
+	s.progs.Put(bench, nil) // profiling a nil program panics
+	if _, err := s.Profile(bench); !errors.Is(err, lru.ErrPanic) {
+		t.Fatalf("profiling a nil program: err %v, want %v", err, lru.ErrPanic)
+	}
+	s.progs.Put(bench, good)
+	done := make(chan error, 1)
+	go func() {
+		_, err := s.Profile(bench)
+		done <- err
+	}()
+	select {
+	case err := <-done:
+		if err != nil {
+			t.Errorf("second Profile: %v", err)
+		}
+	case <-time.After(30 * time.Second):
+		t.Fatal("second Profile still blocked on the panicked computation")
 	}
 }
 

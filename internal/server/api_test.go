@@ -8,6 +8,7 @@ import (
 	"strings"
 	"testing"
 
+	"voltron/internal/lru"
 	"voltron/internal/spec"
 )
 
@@ -169,7 +170,7 @@ func TestTracedJob(t *testing.T) {
 // trace URL 404s (the job response itself stays cached).
 func TestTraceEviction(t *testing.T) {
 	s, ts := newTestServer(t, Config{})
-	s.traces = newLRU[string, []byte](1)
+	s.traces = lru.New[string, []byte](1)
 	job := func(n int64) string {
 		return `{"program": {"kind": "kernels", "name": "e", "kernels": [{"kind": "serial-chain", "name": "c", "n": ` +
 			strconv.FormatInt(n, 10) + `}]}, "strategy": "serial", "cores": 1, "trace": true}`

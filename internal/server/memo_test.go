@@ -77,7 +77,7 @@ func TestMemoHitMatchesSlowPathHit(t *testing.T) {
 				t.Fatalf("status = %d, body %s", resp.StatusCode, miss)
 			}
 			strategy := decodeJob(t, miss).Strategy
-			if _, ok := s.memo.get(sha256.Sum256([]byte(c.body))); !ok {
+			if _, ok := s.memo.Completed(sha256.Sum256([]byte(c.body))); !ok {
 				t.Fatal("a normalized body was not memoized")
 			}
 
@@ -172,7 +172,7 @@ func TestMemoInvalidBodyNotMemoized(t *testing.T) {
 				t.Errorf("%s: attempt %d returned a different error:\n%s\n%s", c.body, i, b, first)
 			}
 		}
-		if _, ok := s.memo.get(sha256.Sum256([]byte(c.body))); ok {
+		if _, ok := s.memo.Completed(sha256.Sum256([]byte(c.body))); ok {
 			t.Errorf("%s: an invalid body was memoized", c.body)
 		}
 	}

@@ -120,23 +120,28 @@ func (s *Server) forwardBudget(ctx context.Context) time.Duration {
 	return budget
 }
 
-// forwardJob POSTs the normalized job to its owner and returns the owner's
-// response body verbatim plus the owner's X-Voltron-Cache status. Any
-// failure (unreachable owner, non-200 — including an owner shedding with
-// 429 — or the forward budget expiring) is returned as an error; the caller
-// falls back to local simulation.
-func (s *Server) forwardJob(ctx context.Context, owner string, req *spec.JobRequest) ([]byte, string, error) {
+// forward sends one request to the key's owner, capped by forwardBudget:
+// a POST of job to path, or a GET of path when job is nil. It returns the
+// owner's 200 body verbatim plus its X-Voltron-Cache status. Any failure
+// (unreachable owner, any other status — including a 404 or an owner
+// shedding with 429 — or the budget expiring) is an error; the caller
+// answers locally instead.
+func (s *Server) forward(ctx context.Context, owner, path string, job *spec.JobRequest) ([]byte, string, error) {
 	url, ok := s.peerURL[owner]
 	if !ok {
 		return nil, "", fmt.Errorf("no URL for replica %q", owner)
 	}
+	method, body := http.MethodGet, []byte(nil)
+	if job != nil {
+		var err error
+		if body, err = json.Marshal(job); err != nil { // canonical structs always marshal
+			return nil, "", err
+		}
+		method = http.MethodPost
+	}
 	fctx, cancel := context.WithTimeout(ctx, s.forwardBudget(ctx))
 	defer cancel()
-	b, err := json.Marshal(req)
-	if err != nil { // canonical structs always marshal
-		return nil, "", err
-	}
-	hreq, err := http.NewRequestWithContext(fctx, http.MethodPost, url+"/v1/jobs", bytes.NewReader(b))
+	hreq, err := http.NewRequestWithContext(fctx, method, url+path, bytes.NewReader(body))
 	if err != nil {
 		return nil, "", err
 	}
@@ -147,47 +152,12 @@ func (s *Server) forwardJob(ctx context.Context, owner string, req *spec.JobRequ
 		return nil, "", err
 	}
 	defer resp.Body.Close()
-	body, err := io.ReadAll(resp.Body)
+	b, err := io.ReadAll(resp.Body)
 	if err != nil {
 		return nil, "", err
 	}
 	if resp.StatusCode != http.StatusOK {
-		return nil, "", fmt.Errorf("replica %s: status %d: %.200s", owner, resp.StatusCode, body)
+		return nil, "", fmt.Errorf("replica %s: status %d: %.200s", owner, resp.StatusCode, b)
 	}
-	return body, resp.Header.Get("X-Voltron-Cache"), nil
-}
-
-// forwardTrace fetches a trace blob from its owner. Same budget policy as
-// forwardJob; a peer 404 is reported as notFound (the trace genuinely does
-// not exist anywhere), any other failure as an error (the local 404 text
-// stands in).
-func (s *Server) forwardTrace(ctx context.Context, owner, key string) (b []byte, notFound bool, err error) {
-	url, ok := s.peerURL[owner]
-	if !ok {
-		return nil, false, fmt.Errorf("no URL for replica %q", owner)
-	}
-	fctx, cancel := context.WithTimeout(ctx, s.forwardBudget(ctx))
-	defer cancel()
-	hreq, err := http.NewRequestWithContext(fctx, http.MethodGet, url+"/v1/traces/"+key, nil)
-	if err != nil {
-		return nil, false, err
-	}
-	hreq.Header.Set(forwardHeader, s.cfg.Self)
-	resp, err := s.peerHTTP.Do(hreq)
-	if err != nil {
-		return nil, false, err
-	}
-	defer resp.Body.Close()
-	body, err := io.ReadAll(resp.Body)
-	if err != nil {
-		return nil, false, err
-	}
-	switch resp.StatusCode {
-	case http.StatusOK:
-		return body, false, nil
-	case http.StatusNotFound:
-		return nil, true, nil
-	default:
-		return nil, false, fmt.Errorf("replica %s: status %d: %.200s", owner, resp.StatusCode, body)
-	}
+	return b, resp.Header.Get("X-Voltron-Cache"), nil
 }

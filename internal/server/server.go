@@ -26,6 +26,7 @@ import (
 	"voltron/internal/core"
 	"voltron/internal/exp"
 	"voltron/internal/lang"
+	"voltron/internal/lru"
 	"voltron/internal/spec"
 	"voltron/internal/stats"
 	"voltron/internal/trace"
@@ -80,15 +81,18 @@ const (
 // Handler, stop by shutting down the enclosing http.Server (jobs run
 // synchronously inside handlers, so draining handlers drains jobs).
 type Server struct {
-	cfg       Config
-	suite     *exp.Suite
-	cache     *cache
-	artifacts *sfCache[*core.CompiledProgram]
-	traces    *lru[string, []byte]
+	cfg   Config
+	suite *exp.Suite
+	// cache holds rendered response bodies by content key, artifacts
+	// compiled programs by spec.CompileKey, and traces rendered Chrome
+	// traces by job key.
+	cache     *lru.Cache[string, []byte]
+	artifacts *lru.Cache[string, *core.CompiledProgram]
+	traces    *lru.Cache[string, []byte]
 	pool      *machinePool
 	// memo maps the SHA-256 of a /v1/jobs body to its normalized content
 	// key, so a result-cache hit skips decode and normalize (handleJob).
-	memo *lru[[sha256.Size]byte, memoEntry]
+	memo *lru.Cache[[sha256.Size]byte, memoEntry]
 	// runSem holds one slot per running simulation (Config.Workers).
 	runSem chan struct{}
 	start  time.Time
@@ -103,10 +107,10 @@ type Server struct {
 	adm *admission
 
 	jobs stats.Counter
-	// Lookups by cacheStatus: of the result cache, per job, and of the
+	// Lookups by lru.Status: of the result cache, per job, and of the
 	// compile-artifact cache, per local computation.
-	results  [cacheStatuses]stats.Counter
-	compiles [cacheStatuses]stats.Counter
+	results  [lru.Statuses]stats.Counter
+	compiles [lru.Statuses]stats.Counter
 	// Tiered strategy selection: regions decided statically by the
 	// classifier, regions escalated to measured selection, and regions
 	// re-selected by the stall-report agreement check (Recheck).
@@ -158,10 +162,10 @@ func New(cfg Config) *Server {
 	s := &Server{
 		cfg:       cfg,
 		suite:     suite,
-		cache:     newCache(cfg.CacheEntries),
-		artifacts: newSFCache[*core.CompiledProgram](artifactEntries),
-		traces:    newLRU[string, []byte](traceEntries),
-		memo:      newLRU[[sha256.Size]byte, memoEntry](cfg.CacheEntries),
+		cache:     lru.New[string, []byte](cfg.CacheEntries),
+		artifacts: lru.New[string, *core.CompiledProgram](artifactEntries),
+		traces:    lru.New[string, []byte](traceEntries),
+		memo:      lru.New[[sha256.Size]byte, memoEntry](cfg.CacheEntries),
 		pool:      newMachinePool(cfg.Workers),
 		runSem:    make(chan struct{}, cfg.Workers),
 		start:     time.Now(),
@@ -232,13 +236,13 @@ func (s *Server) handleStrategies(w http.ResponseWriter, r *http.Request) {
 // everywhere returns 404 with a hint to re-run the job.
 func (s *Server) handleTrace(w http.ResponseWriter, r *http.Request) {
 	key := r.PathValue("key")
-	b, ok := s.traces.get(key)
+	b, ok := s.traces.Completed(key)
 	if !ok {
 		if owner := s.ownerOf(key); owner != "" && r.Header.Get(forwardHeader) == "" {
 			s.peerForwards.Inc()
-			if pb, notFound, err := s.forwardTrace(r.Context(), owner, key); err == nil && !notFound {
+			if pb, _, err := s.forward(r.Context(), owner, "/v1/traces/"+key, nil); err == nil {
 				s.peerFills.Inc()
-				s.traces.put(key, pb)
+				s.traces.Put(key, pb)
 				w.Header().Set("Content-Type", "application/json")
 				w.Header().Set("X-Voltron-Peer", owner)
 				w.WriteHeader(http.StatusOK)
@@ -325,14 +329,14 @@ func (s *Server) Metrics() MetricsSnapshot {
 		Workers:              s.cfg.Workers,
 		Jobs:                 s.jobs.Value(),
 		Simulations:          s.runs.Value(),
-		CacheHits:            s.results[cacheHit].Value(),
-		CacheMisses:          s.results[cacheMiss].Value(),
-		CacheDeduped:         s.results[cacheDeduped].Value(),
-		CacheEntries:         s.cache.len(),
-		CompileCacheHits:     s.compiles[cacheHit].Value(),
-		CompileCacheMisses:   s.compiles[cacheMiss].Value(),
-		CompileCacheDeduped:  s.compiles[cacheDeduped].Value(),
-		CompileCacheEntries:  s.artifacts.len(),
+		CacheHits:            s.results[lru.Hit].Value(),
+		CacheMisses:          s.results[lru.Miss].Value(),
+		CacheDeduped:         s.results[lru.Deduped].Value(),
+		CacheEntries:         s.cache.Len(),
+		CompileCacheHits:     s.compiles[lru.Hit].Value(),
+		CompileCacheMisses:   s.compiles[lru.Miss].Value(),
+		CompileCacheDeduped:  s.compiles[lru.Deduped].Value(),
+		CompileCacheEntries:  s.artifacts.Len(),
 		MachinePoolHits:      s.pool.hits.Value(),
 		MachinePoolResets:    s.pool.resets.Value(),
 		MachinePoolNews:      s.pool.news.Value(),
@@ -353,7 +357,7 @@ func (s *Server) Metrics() MetricsSnapshot {
 		ShedSimulate:         s.adm.shed[admSimulate].Value(),
 		ShedCachedRead:       s.adm.shed[admCachedRead].Value(),
 		Errors:               s.errorsN.Value(),
-		Panics:               s.cache.panics.Value() + s.artifacts.panics.Value(),
+		Panics:               s.cache.Panics() + s.artifacts.Panics(),
 		Canceled:             s.canceled.Value(),
 		QueueDepth:           s.queued.Value(),
 		InFlight:             s.running.Value(),
@@ -479,18 +483,18 @@ func (s *Server) handleJob(w http.ResponseWriter, r *http.Request) {
 	}
 	digest := sha256.Sum256(body)
 	var req *spec.JobRequest // decoded only when the memo cannot answer
-	m, cached := s.memo.get(digest)
+	m, cached := s.memo.Completed(digest)
 	var hit []byte
 	if cached {
-		hit, cached = s.cache.completed(m.key)
+		hit, cached = s.cache.Completed(m.key)
 	}
 	if !cached {
 		if req = s.decodeRequest(w, body); req == nil {
 			return
 		}
 		m = memoEntry{key: req.Key(), strategy: req.Strategy}
-		s.memo.put(digest, m)
-		hit, cached = s.cache.completed(m.key)
+		s.memo.Put(digest, m)
+		hit, cached = s.cache.Completed(m.key)
 	}
 	s.jobs.Inc()
 	// Admission: classify by expected cost — a completed local cache entry
@@ -507,7 +511,7 @@ func (s *Server) handleJob(w http.ResponseWriter, r *http.Request) {
 	}
 	defer release()
 	startedAt := time.Now()
-	out := jobOutcome{body: hit, status: cacheHit}
+	out := jobOutcome{body: hit, status: lru.Hit}
 	var err error
 	if !cached {
 		ctx, cancel := context.WithTimeout(r.Context(), s.cfg.RequestTimeout)
@@ -673,10 +677,10 @@ func (s *Server) retryAfterSeconds(class admClass, depth int) int {
 // jobOutcome describes how one job body was produced.
 type jobOutcome struct {
 	body     []byte
-	status   cacheStatus // how the local result cache was satisfied
-	compile  cacheStatus // how the compile stage was satisfied (when compiled)
-	compiled bool        // this request ran the compile stage locally
-	selMode  string      // how strategy selection decided the artifact
+	status   lru.Status // how the local result cache was satisfied
+	compile  lru.Status // how the compile stage was satisfied (when compiled)
+	compiled bool       // this request ran the compile stage locally
+	selMode  string     // how strategy selection decided the artifact
 	// peer names the owning replica whose response filled the local cache
 	// ("" when the body was computed or already cached locally); peerCache
 	// is that owner's X-Voltron-Cache status.
@@ -696,10 +700,10 @@ type jobOutcome struct {
 // bounded by a single forward hop.
 func (s *Server) jobBody(ctx context.Context, req *spec.JobRequest, key string, forwarded bool) (jobOutcome, error) {
 	var out jobOutcome
-	body, status, err := s.cache.get(ctx, key, func() ([]byte, error) {
+	body, status, err := s.cache.Get(ctx, key, func() ([]byte, error) {
 		if owner := s.ownerOf(key); owner != "" && !forwarded {
 			s.peerForwards.Inc()
-			if b, pcache, ferr := s.forwardJob(ctx, owner, req); ferr == nil {
+			if b, pcache, ferr := s.forward(ctx, owner, "/v1/jobs", req); ferr == nil {
 				out.peer, out.peerCache = owner, pcache
 				s.peerFills.Inc()
 				return b, nil
@@ -721,7 +725,7 @@ func (s *Server) jobBody(ctx context.Context, req *spec.JobRequest, key string, 
 
 // runJob executes one normalized job (and, when asked, its serial
 // baseline) and assembles the response.
-func (s *Server) runJob(ctx context.Context, req *spec.JobRequest, key string) (*JobResponse, cacheStatus, string, error) {
+func (s *Server) runJob(ctx context.Context, req *spec.JobRequest, key string) (*JobResponse, lru.Status, string, error) {
 	res, tr, cstat, selMode, err := s.simulate(ctx, req)
 	if err != nil {
 		return nil, cstat, selMode, err
@@ -764,7 +768,7 @@ func (s *Server) runJob(ctx context.Context, req *spec.JobRequest, key string) (
 		if err := tr.WriteChrome(&buf); err != nil {
 			return nil, cstat, selMode, fmt.Errorf("rendering trace: %w", err)
 		}
-		s.traces.put(key, buf.Bytes())
+		s.traces.Put(key, buf.Bytes())
 		resp.TraceURL = "/v1/traces/" + key
 		resp.StallReport = tr.Report()
 	}
@@ -801,13 +805,13 @@ func (s *Server) runJob(ctx context.Context, req *spec.JobRequest, key string) (
 // cached artifact. The cache holds exactly what the compile produced —
 // never a run's end state or a recheck's correction — and a failed run
 // still caches a successful compile. The tracer, when the request asks for
-// one, holds the run's event stream; the cacheStatus says how the compile
+// one, holds the run's event stream; the lru.Status says how the compile
 // stage was satisfied and the string how selection decided the program
 // that ran (core.SelectionSummary.Mode; "" when no selection ran).
-func (s *Server) simulate(ctx context.Context, req *spec.JobRequest) (*core.RunResult, *trace.Tracer, cacheStatus, string, error) {
+func (s *Server) simulate(ctx context.Context, req *spec.JobRequest) (*core.RunResult, *trace.Tracer, lru.Status, string, error) {
 	p, pr, err := s.suite.Resolve(req)
 	if err != nil {
-		return nil, nil, cacheMiss, "", err
+		return nil, nil, lru.Miss, "", err
 	}
 	var (
 		tr     *trace.Tracer
@@ -832,7 +836,7 @@ func (s *Server) simulate(ctx context.Context, req *spec.JobRequest) (*core.RunR
 		})
 		return compiled
 	}
-	cp, cstat, err := s.artifacts.get(ctx, req.CompileKey(), func() (*core.CompiledProgram, error) {
+	cp, cstat, err := s.artifacts.Get(ctx, req.CompileKey(), func() (*core.CompiledProgram, error) {
 		if cp := run(nil); cp != nil {
 			return cp, nil
 		}
@@ -842,7 +846,7 @@ func (s *Server) simulate(ctx context.Context, req *spec.JobRequest) (*core.RunR
 	if err != nil {
 		return nil, nil, cstat, "", err
 	}
-	if cstat == cacheMiss {
+	if cstat == lru.Miss {
 		s.selectStatic.Add(int64(cp.Selection.Static))
 		s.selectEscalated.Add(int64(cp.Selection.Escalated))
 	} else {

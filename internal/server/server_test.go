@@ -326,7 +326,7 @@ func TestCacheLRUEviction(t *testing.T) {
 			t.Fatalf("job %d: status %d, body %s", i, resp.StatusCode, b)
 		}
 	}
-	if got := s.cache.len(); got != 2 {
+	if got := s.cache.Len(); got != 2 {
 		t.Errorf("cache entries = %d, want 2 (LRU bound)", got)
 	}
 	// The oldest entry was evicted: re-requesting it is a miss again.
