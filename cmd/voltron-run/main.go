@@ -100,12 +100,12 @@ func run(args []string, stdout, stderr io.Writer) error {
 	if err := req.Normalize(func(b string) bool { return slices.Contains(workload.Names(), b) }); err != nil {
 		return err
 	}
-	p, pr, err := exp.NewSuite().Resolve(req)
+	// Both runs take the service's job pipeline; -j cannot change a result.
+	ctx := context.Background()
+	p, pr, err := exp.NewSuite().Resolve(ctx, req.Program)
 	if err != nil {
 		return err
 	}
-	// Both runs take the service's job pipeline; -j cannot change a result.
-	ctx := context.Background()
 	baseReq := *req
 	baseReq.Strategy, baseReq.Cores = "serial", 1
 	_, _, base, _, err := baseReq.Simulate(ctx, p, pr, nil, core.New(baseReq.MachineConfig(nil)), *workers)

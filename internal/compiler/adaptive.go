@@ -183,7 +183,7 @@ func confidence(best, second float64) float64 {
 // region classifies as that lowering: TierDOALL/LLP where a multicore
 // ForceLLP compile installs DOALL, TierEasy/single core otherwise.
 func ClassifyProgram(p *ir.Program, opts Options) ([]Classification, error) {
-	opts, err := prepare(p, opts, "classify")
+	opts, err := prepare(context.Background(), p, opts, "classify")
 	if err != nil {
 		return nil, err
 	}
@@ -249,13 +249,15 @@ func Recheck(ctx context.Context, p *ir.Program, cp *core.CompiledProgram, rep *
 	if len(suspect) == 0 {
 		return cp, nil, nil
 	}
-	opts, err := prepare(p, opts, "recheck")
+	opts, err := prepare(ctx, p, opts, "recheck")
 	if err != nil {
 		return nil, nil, err
 	}
-	plans, err := planRegions(p, opts)
-	if err != nil {
-		return nil, nil, err
+	plans := make([]*regionPlan, len(p.Regions)) // only the suspects are re-measured
+	for _, i := range suspect {
+		if plans[i], err = planRegion(p.Regions[i], opts); err != nil {
+			return nil, nil, err
+		}
 	}
 	out := &core.CompiledProgram{
 		Name: cp.Name, Cores: cp.Cores, Src: cp.Src,

@@ -193,7 +193,7 @@ func CompileRun(ctx context.Context, p *ir.Program, opts Options, m *core.Machin
 // compile lowers p. Given the caller's machine it also returns the
 // selected program's run on it, when measured selection can provide one.
 func compile(ctx context.Context, p *ir.Program, opts Options, final *core.Machine) (*core.CompiledProgram, *core.RunResult, error) {
-	opts, err := prepare(p, opts, "compile")
+	opts, err := prepare(ctx, p, opts, "compile")
 	if err != nil {
 		return nil, nil, err
 	}
@@ -215,25 +215,31 @@ func compile(ctx context.Context, p *ir.Program, opts Options, final *core.Machi
 }
 
 // prepare resolves opts and readies p for a compile or a classification
-// (verb names which in errors). The classical cleanup runs in place, once
-// per program under PrepareOnce and before Verify, so concurrent compiles
-// of one cached program never race; it is idempotent and
-// semantics-preserving, so op-keyed profiles stay valid. Every strategy
-// but Serial gets a profile when the caller supplied none.
-func prepare(p *ir.Program, opts Options, verb string) (Options, error) {
+// (verb names which in errors): p is cleaned up and verified, and every
+// strategy but Serial that lacks a profile gets one (Profile).
+func prepare(ctx context.Context, p *ir.Program, opts Options, verb string) (Options, error) {
 	opts = opts.withDefaults()
 	p.PrepareOnce(func() { Optimize(p) })
 	if err := p.Verify(); err != nil {
 		return opts, fmt.Errorf("%s %q: %w", verb, p.Name, err)
 	}
+	var err error
 	if opts.Profile == nil && opts.Strategy != Serial {
-		pr, err := prof.Collect(p)
-		if err != nil {
-			return opts, fmt.Errorf("profiling %q: %w", p.Name, err)
-		}
-		opts.Profile = pr
+		opts.Profile, err = Profile(ctx, p)
 	}
-	return opts, nil
+	return opts, err
+}
+
+// Profile cleans p up in place (Optimize, once per program under
+// PrepareOnce; semantics-preserving, so earlier profiles stay valid) and
+// profiles the cleaned ops. Canceling ctx stops it with ctx.Err().
+func Profile(ctx context.Context, p *ir.Program) (*prof.Profile, error) {
+	p.PrepareOnce(func() { Optimize(p) })
+	pr, err := prof.CollectContext(ctx, p)
+	if err != nil {
+		return nil, fmt.Errorf("profiling %q: %w", p.Name, err)
+	}
+	return pr, nil
 }
 
 // compileRegion lowers one region of a compile that does not select:

@@ -92,12 +92,7 @@ func (s *Suite) SelectionAgreement(nrand int) (*AgreementReport, error) {
 	var jobs []job
 	for _, b := range s.sortedBenchmarks() {
 		jobs = append(jobs, job{b, func() (*ir.Program, *prof.Profile, error) {
-			p, err := s.Program(b)
-			if err != nil {
-				return nil, nil, err
-			}
-			pr, err := s.Profile(b)
-			return p, pr, err
+			return s.Resolve(context.Background(), benchSpec(b))
 		}})
 	}
 	for seed := 1; seed <= nrand; seed++ {
@@ -106,7 +101,7 @@ func (s *Suite) SelectionAgreement(nrand int) (*AgreementReport, error) {
 			if err != nil {
 				return nil, nil, err
 			}
-			pr, err := prof.Collect(p)
+			pr, err := compiler.Profile(context.Background(), p)
 			return p, pr, err
 		}})
 	}

@@ -116,8 +116,7 @@ func (t *Table) WriteJSON(w io.Writer) error {
 // and the next call for the key computes again.
 type Suite struct {
 	runs  *lru.Cache[runKey, *core.RunResult]
-	profs *lru.Cache[string, *prof.Profile]
-	progs *lru.Cache[string, *ir.Program]
+	progs *lru.Cache[string, program] // the program tier, by spec.ProgramSpec.Key
 	// Benchmarks restricts the suite (defaults to all 25).
 	Benchmarks []string
 	// Workers bounds the benchmarks one harness evaluates at once and is
@@ -140,13 +139,21 @@ type runKey struct {
 	cores int
 }
 
+// program is one tier entry: an IR program and its op-keyed profile.
+type program struct {
+	p  *ir.Program
+	pr *prof.Profile
+}
+
+// programEntries bounds the tier: 25 benchmarks plus the programs of 64 cached artifacts.
+const programEntries = 25 + 64
+
 // NewSuite creates an empty result cache over the full benchmark list. The
-// caches never evict, so no configuration is simulated twice.
+// run cache never evicts, so no configuration is simulated twice.
 func NewSuite() *Suite {
 	return &Suite{
 		runs:       lru.New[runKey, *core.RunResult](math.MaxInt),
-		profs:      lru.New[string, *prof.Profile](math.MaxInt),
-		progs:      lru.New[string, *ir.Program](math.MaxInt),
+		progs:      lru.New[string, program](programEntries),
 		Benchmarks: workload.Names(),
 		Workers:    runtime.GOMAXPROCS(0),
 	}
@@ -160,47 +167,37 @@ func (s *Suite) workers() int {
 	return runtime.GOMAXPROCS(0)
 }
 
-// Program builds (and caches) one benchmark. The same IR instance must
-// serve profiling and every compile: profiles are keyed by op identity.
-// The returned program is shared — callers must treat it as read-only
-// (compiling it is fine, also concurrently: the compiler's only in-place
-// pass is guarded by ir.Program.PrepareOnce).
-func (s *Suite) Program(bench string) (*ir.Program, error) {
-	p, _, err := s.progs.Get(context.Background(), bench, func() (*ir.Program, error) {
-		return workload.Build(bench)
+// Resolve builds and profiles (compiler.Profile) a normalized program spec
+// of any kind once per content. The program is shared and read-only to
+// callers; compiling it is fine, also concurrently. ctx bounds the
+// profiling of the call that computes the entry.
+func (s *Suite) Resolve(ctx context.Context, ps *spec.ProgramSpec) (*ir.Program, *prof.Profile, error) {
+	v, _, err := s.progs.Get(ctx, ps.Key(), func() (program, error) {
+		p, err := ps.Build()
+		if err != nil {
+			return program{}, err
+		}
+		pr, err := compiler.Profile(ctx, p)
+		return program{p, pr}, err
 	})
+	return v.p, v.pr, err
+}
+
+// Program returns one benchmark's resolved program (see Resolve).
+func (s *Suite) Program(bench string) (*ir.Program, error) {
+	p, _, err := s.Resolve(context.Background(), benchSpec(bench))
 	return p, err
 }
 
-// Profile collects (and caches) the profile of one benchmark. Profiling
-// always completes before the benchmark's first compile (Run collects the
-// profile first), so the profiling interpreter never overlaps the
-// compiler's one-shot IR cleanup.
+// Profile returns one benchmark's profile (see Resolve).
 func (s *Suite) Profile(bench string) (*prof.Profile, error) {
-	pr, _, err := s.profs.Get(context.Background(), bench, func() (*prof.Profile, error) {
-		p, err := s.Program(bench)
-		if err != nil {
-			return nil, err
-		}
-		return prof.Collect(p)
-	})
+	_, pr, err := s.Resolve(context.Background(), benchSpec(bench))
 	return pr, err
 }
 
-// Resolve materializes a normalized job's program. Benchmarks come from the
-// suite, built and profiled once (Program, Profile); kernel and source
-// programs build per call with a nil profile (the compiler profiles them).
-func (s *Suite) Resolve(req *spec.JobRequest) (*ir.Program, *prof.Profile, error) {
-	if req.Program.Kind != spec.KindBench {
-		p, err := req.Program.Build()
-		return p, nil, err
-	}
-	p, err := s.Program(req.Program.Bench)
-	if err != nil {
-		return nil, nil, err
-	}
-	pr, err := s.Profile(req.Program.Bench)
-	return p, pr, err
+// benchSpec is the program spec naming one benchmark.
+func benchSpec(bench string) *spec.ProgramSpec {
+	return &spec.ProgramSpec{Kind: spec.KindBench, Bench: bench}
 }
 
 // Run returns the (cached) simulation of one configuration: the bench job
@@ -210,12 +207,12 @@ func (s *Suite) Resolve(req *spec.JobRequest) (*ir.Program, *prof.Profile, error
 func (s *Suite) Run(bench string, strat compiler.Strategy, cores int) (*core.RunResult, error) {
 	res, _, err := s.runs.Get(context.Background(), runKey{bench, strat, cores}, func() (*core.RunResult, error) {
 		req := &spec.JobRequest{
-			Program:  &spec.ProgramSpec{Kind: spec.KindBench, Bench: bench},
+			Program:  benchSpec(bench),
 			Strategy: spec.StrategyName(strat),
 			Cores:    cores,
 			Compiler: spec.CompilerOptions{Select: s.Select.String(), SelectThreshold: s.SelectThreshold},
 		}
-		p, pr, err := s.Resolve(req)
+		p, pr, err := s.Resolve(context.Background(), req.Program)
 		if err != nil {
 			return nil, err
 		}

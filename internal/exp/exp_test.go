@@ -2,6 +2,7 @@ package exp
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -10,7 +11,10 @@ import (
 	"time"
 
 	"voltron/internal/compiler"
+	"voltron/internal/ir"
 	"voltron/internal/lru"
+	"voltron/internal/prof"
+	"voltron/internal/spec"
 	"voltron/internal/stats"
 )
 
@@ -60,8 +64,8 @@ func TestSuiteCachesRuns(t *testing.T) {
 	}
 }
 
-// TestSuiteForgetsUnknownPrograms: the service resolves client-chosen
-// benchmark names through Program, so a failed build must not stay cached.
+// TestSuiteForgetsUnknownPrograms: the program tier is keyed by program
+// content, so a failed build must not stay cached.
 func TestSuiteForgetsUnknownPrograms(t *testing.T) {
 	s := NewSuite()
 	for i := 0; i < 100; i++ {
@@ -74,33 +78,83 @@ func TestSuiteForgetsUnknownPrograms(t *testing.T) {
 	}
 }
 
-// TestSuitePanicFreesKey: a panicking computation returns an error to its
+// TestSuitePanicFreesKey: a panicking resolution returns an error to its
 // caller and leaves its key free, so the next call for the key computes
-// instead of blocking on a flight that never lands.
+// again instead of blocking on a flight that never lands, and resolutions
+// of other programs are unaffected.
 func TestSuitePanicFreesKey(t *testing.T) {
 	s := NewSuite()
-	const bench = "gsmdecode"
-	good, err := s.Program(bench)
-	if err != nil {
-		t.Fatal(err)
+	// Never normalized: Build calls the generator of an unknown kernel
+	// kind, a nil function.
+	bad := &spec.ProgramSpec{Kind: spec.KindKernels, Name: "bad", Kernels: []spec.KernelSpec{{Kind: "no-such-kernel"}}}
+	if _, _, err := s.Resolve(context.Background(), bad); !errors.Is(err, lru.ErrPanic) {
+		t.Fatalf("resolving a panicking build: err %v, want %v", err, lru.ErrPanic)
 	}
-	s.progs.Put(bench, nil) // profiling a nil program panics
-	if _, err := s.Profile(bench); !errors.Is(err, lru.ErrPanic) {
-		t.Fatalf("profiling a nil program: err %v, want %v", err, lru.ErrPanic)
-	}
-	s.progs.Put(bench, good)
 	done := make(chan error, 1)
 	go func() {
-		_, err := s.Profile(bench)
+		_, _, err := s.Resolve(context.Background(), bad)
 		done <- err
 	}()
 	select {
 	case err := <-done:
-		if err != nil {
-			t.Errorf("second Profile: %v", err)
+		if !errors.Is(err, lru.ErrPanic) {
+			t.Errorf("second resolution: err %v, want %v", err, lru.ErrPanic)
 		}
 	case <-time.After(30 * time.Second):
-		t.Fatal("second Profile still blocked on the panicked computation")
+		t.Fatal("second resolution still blocked on the panicked computation")
+	}
+	if n := s.progs.Panics(); n != 2 {
+		t.Errorf("%d resolutions panicked, want 2 (the second call must compute again)", n)
+	}
+	if n := s.progs.Len(); n != 0 {
+		t.Errorf("%d entries after two panics, want 0", n)
+	}
+	if _, err := s.Profile("gsmdecode"); err != nil {
+		t.Errorf("resolving a benchmark after the panics: %v", err)
+	}
+}
+
+// TestTierResolvesEachProgramOnce: a 2/4/16/64-core sweep of one program
+// and its traced auto twin resolve to one program and one profile, for
+// every program kind.
+func TestTierResolvesEachProgramOnce(t *testing.T) {
+	s := NewSuite()
+	programs := []string{
+		`{"kind": "bench", "bench": "gsmdecode"}`,
+		`{"kind": "kernels", "kernels": [{"kind": "doall-map"}, {"kind": "ilp-loop"}]}`,
+		`{"kind": "source", "source": "param n = 64;\narray xs[n] int;\nfunc main() {\n\tfor i = 0; i < n; i = i + 1 {\n\t\txs[i] = i * 3;\n\t}\n}\n"}`,
+	}
+	variants := []string{`"cores": 2`, `"cores": 4`, `"cores": 16`, `"cores": 64`,
+		`"cores": 64, "trace": true, "compiler": {"select": "auto"}`}
+	for _, prog := range programs {
+		var (
+			p0  *ir.Program
+			pr0 *prof.Profile
+		)
+		for i, v := range variants {
+			req, _, err := spec.DecodeJob(strings.NewReader(`{"program": ` + prog + `, ` + v + `}`))
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := req.Normalize(func(string) bool { return true }); err != nil {
+				t.Fatal(err)
+			}
+			p, pr, err := s.Resolve(context.Background(), req.Program)
+			if err != nil {
+				t.Fatalf("%s, %s: %v", prog, v, err)
+			}
+			if pr == nil {
+				t.Errorf("%s, %s: nil profile", prog, v)
+			}
+			if i == 0 {
+				p0, pr0 = p, pr
+			} else if p != p0 || pr != pr0 {
+				t.Errorf("%s, %s: resolved to another program or profile than %s", prog, v, variants[0])
+			}
+		}
+	}
+	if n := s.progs.Len(); n != len(programs) {
+		t.Errorf("%d tier entries, want %d", n, len(programs))
 	}
 }
 

@@ -5,6 +5,7 @@
 package interp
 
 import (
+	"context"
 	"fmt"
 	"math"
 
@@ -52,6 +53,17 @@ type Options struct {
 
 // Run interprets the whole program region by region.
 func Run(p *ir.Program, opt Options) (*Result, error) {
+	return RunContext(context.Background(), p, opt)
+}
+
+// ctxPollBlocks is how many block entries run between two polls of the
+// run's ctx: rare enough to cost nothing per op, frequent enough that a
+// canceled run stops within microseconds.
+const ctxPollBlocks = 1 << 10
+
+// RunContext is Run that stops with an error wrapping ctx.Err() once ctx
+// ends.
+func RunContext(ctx context.Context, p *ir.Program, opt Options) (*Result, error) {
 	if opt.MaxOps == 0 {
 		opt.MaxOps = 500_000_000
 	}
@@ -66,20 +78,25 @@ func Run(p *ir.Program, opt Options) (*Result, error) {
 		OpCounts:    map[*ir.Op]int64{},
 	}
 	for _, r := range p.Regions {
-		if err := runRegion(r, m, opt, res); err != nil {
+		if err := runRegion(ctx, r, m, opt, res); err != nil {
 			return nil, fmt.Errorf("region %q: %w", r.Name, err)
 		}
 	}
 	return res, nil
 }
 
-func runRegion(r *ir.Region, m *mem.Flat, opt Options, res *Result) error {
+func runRegion(ctx context.Context, r *ir.Region, m *mem.Flat, opt Options, res *Result) error {
 	vals := make([]uint64, r.NumValues())
 	if opt.Tracer != nil {
 		opt.Tracer.EnterRegion(r)
 	}
 	b := r.Entry
-	for b != nil {
+	for n := 0; b != nil; n++ {
+		if n%ctxPollBlocks == 0 {
+			if err := ctx.Err(); err != nil {
+				return err
+			}
+		}
 		if opt.Tracer != nil {
 			opt.Tracer.EnterBlock(b)
 		}

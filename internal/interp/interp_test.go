@@ -1,8 +1,11 @@
 package interp
 
 import (
+	"context"
+	"errors"
 	"testing"
 	"testing/quick"
+	"time"
 
 	"voltron/internal/ir"
 	"voltron/internal/isa"
@@ -239,6 +242,29 @@ func TestOpBudget(t *testing.T) {
 	_, err := Run(p, Options{MaxOps: 1000})
 	if err == nil {
 		t.Fatal("expected op-budget error")
+	}
+}
+
+// TestRunContextStops: a run polls its ctx, so an endless loop stops at
+// the deadline instead of running to the op budget.
+func TestRunContextStops(t *testing.T) {
+	p := ir.NewProgram("inf")
+	r := p.Region("r")
+	b := r.NewBlock()
+	b.MovI(1)
+	b.JumpTo(b)
+	e := r.NewBlock()
+	e.ExitRegion()
+	r.Seal()
+	ctx, cancel := context.WithTimeout(context.Background(), 50*time.Millisecond)
+	defer cancel()
+	start := time.Now()
+	_, err := RunContext(ctx, p, Options{})
+	if !errors.Is(err, context.DeadlineExceeded) {
+		t.Fatalf("err = %v, want the deadline", err)
+	}
+	if took := time.Since(start); took > 5*time.Second {
+		t.Errorf("stopped after %v", took)
 	}
 }
 

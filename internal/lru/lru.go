@@ -1,7 +1,7 @@
 // Package lru is the repository's one memo: a bounded least-recently-used
 // map whose misses are computed at most once across concurrent callers
 // (singleflight). The service's result, compile-artifact and trace caches,
-// its request memo, and the experiment suite's program, profile and run
+// its request memo, and the experiment suite's program tier and run
 // caches are all instances of Cache.
 package lru
 
@@ -74,13 +74,15 @@ func New[K comparable, V any](max int) *Cache[K, V] {
 // concurrent callers. A failed computation is not cached: its entry is
 // removed, its waiters get its error, and the next caller computes afresh.
 // A waiter whose own ctx ends stops waiting and returns ctx's error; the
-// computation continues for the others. A panic in fn fails the claimant
-// and its waiters with an error wrapping ErrPanic that carries the panic
-// value but no stack.
+// computation continues for the others. A computation that ends with its
+// claimant's ctx error (context.Canceled or DeadlineExceeded) fails only
+// that claimant: a waiter whose own ctx is live claims the key again. A
+// panic in fn fails the claimant and its waiters with an error wrapping
+// ErrPanic that carries the panic value but no stack.
 func (c *Cache[K, V]) Get(ctx context.Context, key K, fn func() (V, error)) (V, Status, error) {
 	var zero V
 	c.mu.Lock()
-	if e, ok := c.entries[key]; ok {
+	for e, ok := c.entries[key]; ok; e, ok = c.entries[key] {
 		if e.elem != nil {
 			c.order.MoveToFront(e.elem)
 			c.mu.Unlock()
@@ -89,13 +91,16 @@ func (c *Cache[K, V]) Get(ctx context.Context, key K, fn func() (V, error)) (V, 
 		c.mu.Unlock()
 		select {
 		case <-e.done:
-			if e.err != nil {
+			if e.err == nil {
+				return e.val, Deduped, nil
+			}
+			if ctx.Err() != nil || !(errors.Is(e.err, context.Canceled) || errors.Is(e.err, context.DeadlineExceeded)) {
 				return zero, Deduped, e.err
 			}
-			return e.val, Deduped, nil
 		case <-ctx.Done():
 			return zero, Deduped, ctx.Err()
 		}
+		c.mu.Lock()
 	}
 	e := &entry[K, V]{key: key, done: make(chan struct{})}
 	c.entries[key] = e

@@ -3,6 +3,7 @@ package lru
 import (
 	"context"
 	"errors"
+	"fmt"
 	"runtime"
 	"strings"
 	"sync"
@@ -138,5 +139,55 @@ func TestPanicErrorCarriesNoStack(t *testing.T) {
 	})
 	if !errors.Is(err, ErrPanic) || !strings.Contains(err.Error(), "injected") || strings.Contains(err.Error(), "goroutine") {
 		t.Errorf("err = %v; want the panic value without its stack", err)
+	}
+}
+
+// TestWaiterOutlivesClaimantCancel: a claimant that fails with its own
+// ctx's error fails alone. A waiter whose ctx is still live claims the key
+// again and computes the value, instead of inheriting the cancellation.
+func TestWaiterOutlivesClaimantCancel(t *testing.T) {
+	for _, cause := range []error{context.Canceled, context.DeadlineExceeded} {
+		t.Run(cause.Error(), func(t *testing.T) {
+			c := New[string, int](8)
+			ctx, cancel := context.WithCancel(context.Background())
+			defer cancel()
+			claimed := make(chan struct{})
+			claimErr := make(chan error, 1)
+			go func() {
+				_, _, err := c.Get(ctx, "k", func() (int, error) {
+					close(claimed)
+					<-ctx.Done()
+					return 0, fmt.Errorf("slow: %w", cause)
+				})
+				claimErr <- err
+			}()
+			<-claimed
+			type result struct {
+				v      int
+				status Status
+				err    error
+			}
+			got := make(chan result, 1)
+			go func() {
+				v, status, err := c.Get(context.Background(), "k", func() (int, error) { return 7, nil })
+				got <- result{v, status, err}
+			}()
+			waitForWaiters(t, 1)
+			cancel()
+			if err := <-claimErr; !errors.Is(err, cause) {
+				t.Fatalf("claimant: err %v, want %v", err, cause)
+			}
+			select {
+			case r := <-got:
+				if r.err != nil || r.v != 7 || r.status != Miss {
+					t.Errorf("live waiter: %d, %v, %v; want 7 computed afresh (miss)", r.v, r.status, r.err)
+				}
+			case <-time.After(10 * time.Second):
+				t.Fatal("live waiter still blocked after the claimant's cancellation")
+			}
+			if v, ok := c.Completed("k"); !ok || v != 7 {
+				t.Errorf("Completed(k) = %d, %v; want the waiter's value cached", v, ok)
+			}
+		})
 	}
 }

@@ -6,6 +6,8 @@
 package prof
 
 import (
+	"context"
+
 	"voltron/internal/interp"
 	"voltron/internal/ir"
 	"voltron/internal/mem"
@@ -32,6 +34,12 @@ type Profile struct {
 
 // Collect profiles a program by interpreting it with tracing enabled.
 func Collect(p *ir.Program) (*Profile, error) {
+	return CollectContext(context.Background(), p)
+}
+
+// CollectContext is Collect that stops with an error wrapping ctx.Err()
+// once ctx ends.
+func CollectContext(ctx context.Context, p *ir.Program) (*Profile, error) {
 	pr := &Profile{
 		TripCount:  map[*ir.Block]float64{},
 		CarriedDep: map[*ir.Block]bool{},
@@ -45,7 +53,7 @@ func Collect(p *ir.Program) (*Profile, error) {
 		hits:   map[*ir.Op]int64{},
 		misses: map[*ir.Op]int64{},
 	}
-	res, err := interp.Run(p, interp.Options{Tracer: tr})
+	res, err := interp.RunContext(ctx, p, interp.Options{Tracer: tr})
 	if err != nil {
 		return nil, err
 	}

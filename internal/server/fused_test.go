@@ -148,6 +148,13 @@ func TestClaimantCancelFreesSlots(t *testing.T) {
 		}
 	}
 
+	// Validating the job resolves its program into the program tier, so
+	// the job itself does not profile and the cancel lands in selection.
+	rec := httptest.NewRecorder()
+	h.ServeHTTP(rec, httptest.NewRequest("POST", "/v1/validate", strings.NewReader(slow)))
+	if rec.Code != http.StatusOK {
+		t.Fatalf("validate: status %d, body %s", rec.Code, rec.Body.Bytes())
+	}
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
 	slowDone := serve(ctx, slow)
@@ -167,7 +174,7 @@ func TestClaimantCancelFreesSlots(t *testing.T) {
 	default:
 	}
 	cancel()
-	rec := await("canceled claimant", slowDone, 5*time.Second)
+	rec = await("canceled claimant", slowDone, 5*time.Second)
 	var er ErrorResponse
 	if err := json.Unmarshal(rec.Body.Bytes(), &er); err != nil {
 		t.Fatalf("canceled claimant body %s: %v", rec.Body.Bytes(), err)

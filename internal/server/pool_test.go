@@ -48,9 +48,11 @@ func testCompiled(t testing.TB) (*core.CompiledProgram, core.Config, string) {
 // runArtifact runs cp for req on a pooled machine, traced by tr, as the
 // server runs a compile-cache hit.
 func runArtifact(s *Server, ctx context.Context, req *spec.JobRequest, cp *core.CompiledProgram, tr *trace.Tracer) error {
-	return s.onMachine(ctx, req, tr, func(m *core.Machine) error {
-		_, _, _, _, err := req.Simulate(ctx, cp.Src, nil, cp, m, 1)
-		return err
+	return s.slot(ctx, func() error {
+		return s.onMachine(req, tr, func(m *core.Machine) error {
+			_, _, _, _, err := req.Simulate(ctx, cp.Src, nil, cp, m, 1)
+			return err
+		})
 	})
 }
 
@@ -295,8 +297,8 @@ func TestPoolMetricsAccount(t *testing.T) {
 
 // TestPanickingRunDropsMachine makes a run panic inside RunContext (an
 // artifact with no source program panics building its memory image) and
-// checks, under -race, that Server.onMachine neither re-pools the machine it was
-// running on nor keeps its worker slot: with one worker, the next run must
+// checks, under -race, that Server.onMachine does not re-pool the machine it was
+// running on and Server.slot does not keep its worker slot: with one worker, the next run must
 // acquire the slot and run on a freshly built machine.
 func TestPanickingRunDropsMachine(t *testing.T) {
 	s := New(Config{Workers: 1})

@@ -18,6 +18,7 @@ import (
 	"math"
 	"net/http"
 	"runtime"
+	"slices"
 	"strconv"
 	"strings"
 	"time"
@@ -449,10 +450,7 @@ func (s *Server) decodeRequest(w http.ResponseWriter, body []byte) *spec.JobRequ
 		s.writeError(w, http.StatusBadRequest, fmt.Errorf("decoding request: %w", err))
 		return nil
 	}
-	if err := req.Normalize(func(b string) bool {
-		_, err := s.suite.Program(b)
-		return err == nil
-	}); err != nil {
+	if err := req.Normalize(func(b string) bool { return slices.Contains(workload.Names(), b) }); err != nil {
 		s.writeError(w, http.StatusBadRequest, err)
 		return nil
 	}
@@ -585,7 +583,7 @@ type ValidateResponse struct {
 // type-check here, returning the frontend's positioned diagnostics on
 // failure), the program is lowered to IR, and the static classifier
 // reports the per-region plan the compiler would install. Nothing is
-// simulated and nothing enters the caches.
+// simulated; the resolved program enters the program tier jobs share.
 func (s *Server) handleValidate(w http.ResponseWriter, r *http.Request) {
 	body, ok := s.readBody(w, r)
 	if !ok {
@@ -595,7 +593,7 @@ func (s *Server) handleValidate(w http.ResponseWriter, r *http.Request) {
 	if req == nil {
 		return
 	}
-	p, pr, err := s.suite.Resolve(req)
+	p, pr, err := s.suite.Resolve(r.Context(), req.Program)
 	if err != nil {
 		status := http.StatusInternalServerError
 		var se *spec.Error
@@ -797,7 +795,8 @@ func (s *Server) runJob(ctx context.Context, req *spec.JobRequest, key string) (
 }
 
 // simulate runs one normalized job through the job pipeline
-// (spec.JobRequest.Simulate) on a pooled machine under one worker slot.
+// (spec.JobRequest.Simulate) on a pooled machine under one worker slot,
+// inside which it resolves the job's program (exp.Suite.Resolve).
 // The compile stage is cached by spec.CompileKey, so trace variants,
 // machine ablations and baseline runs of one program × strategy share one
 // compile, deduplicated in flight. The claimant runs that compile fused
@@ -809,10 +808,6 @@ func (s *Server) runJob(ctx context.Context, req *spec.JobRequest, key string) (
 // stage was satisfied and the string how selection decided the program
 // that ran (core.SelectionSummary.Mode; "" when no selection ran).
 func (s *Server) simulate(ctx context.Context, req *spec.JobRequest) (*core.RunResult, *trace.Tracer, lru.Status, string, error) {
-	p, pr, err := s.suite.Resolve(req)
-	if err != nil {
-		return nil, nil, lru.Miss, "", err
-	}
 	var (
 		tr     *trace.Tracer
 		ran    *core.CompiledProgram
@@ -823,16 +818,22 @@ func (s *Server) simulate(ctx context.Context, req *spec.JobRequest) (*core.RunR
 		tr = trace.New()
 	}
 	run := func(cp *core.CompiledProgram) (compiled *core.CompiledProgram) {
-		runErr = s.onMachine(ctx, req, tr, func(m *core.Machine) (err error) {
-			// A claimant's CompileRun fuses exactly when selection measured a
-			// region and the machine's own configuration can resume the eval
-			// machines'.
-			fuses := cp == nil && m.Config().CanResume(core.DefaultConfig(req.Cores))
-			compiled, ran, res, tr, err = req.Simulate(ctx, p, pr, cp, m, 1)
-			if fuses && err == nil && compiled.Selection.Measured+compiled.Selection.Escalated > 0 {
-				s.fusedRuns.Inc()
+		runErr = s.slot(ctx, func() error {
+			p, pr, err := s.suite.Resolve(ctx, req.Program)
+			if err != nil {
+				return err
 			}
-			return err
+			return s.onMachine(req, tr, func(m *core.Machine) (err error) {
+				// A claimant's CompileRun fuses exactly when selection measured a
+				// region and the machine's own configuration can resume the eval
+				// machines'.
+				fuses := cp == nil && m.Config().CanResume(core.DefaultConfig(req.Cores))
+				compiled, ran, res, tr, err = req.Simulate(ctx, p, pr, cp, m, 1)
+				if fuses && err == nil && compiled.Selection.Measured+compiled.Selection.Escalated > 0 {
+					s.fusedRuns.Inc()
+				}
+				return err
+			})
 		})
 		return compiled
 	}
@@ -861,18 +862,16 @@ func (s *Server) simulate(ctx context.Context, req *spec.JobRequest) (*core.RunR
 	return res, tr, cstat, ran.Selection.Mode, nil
 }
 
-// onMachine calls sim under one worker slot on a warm machine from the
-// pool, configured for req and traced by tr, and counts one simulation. A
-// machine whose simulation panicked is not pooled again.
-func (s *Server) onMachine(ctx context.Context, req *spec.JobRequest, tr *trace.Tracer, sim func(*core.Machine) error) error {
-	return s.slot(ctx, func() error {
-		defer s.runs.Inc()
-		key := req.MachineKey()
-		m := s.pool.get(key, req.MachineConfig(tr))
-		err := sim(m)
-		s.pool.put(key, m)
-		return err
-	})
+// onMachine calls sim on a warm machine from the pool, configured for req
+// and traced by tr, and counts one simulation; the caller holds a worker
+// slot. A machine whose simulation panicked is not pooled again.
+func (s *Server) onMachine(req *spec.JobRequest, tr *trace.Tracer, sim func(*core.Machine) error) error {
+	defer s.runs.Inc()
+	key := req.MachineKey()
+	m := s.pool.get(key, req.MachineConfig(tr))
+	err := sim(m)
+	s.pool.put(key, m)
+	return err
 }
 
 // slot calls fn under one of the Workers slots. A job holds exactly one

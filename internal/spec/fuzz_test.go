@@ -83,16 +83,11 @@ func FuzzDecodeNormalize(f *testing.F) {
 		if err != nil {
 			t.Fatalf("canonical form %s does not re-normalize: %v", canon, err)
 		}
-		if re.Key() != req.Key() || re.CompileKey() != req.CompileKey() || re.MachineKey() != req.MachineKey() {
+		if re.Key() != req.Key() || re.CompileKey() != req.CompileKey() || re.MachineKey() != req.MachineKey() || re.Program.Key() != req.Program.Key() {
 			t.Fatalf("Normalize is not idempotent on %s", canon)
 		}
 
-		if req.Program.Kind == KindBench {
-			_, err = workload.Build(req.Program.Bench)
-		} else {
-			_, err = req.Program.Build()
-		}
-		if err != nil {
+		if _, err := req.Program.Build(); err != nil {
 			t.Fatalf("normalized spec %s does not build: %v", canon, err)
 		}
 	})

@@ -446,15 +446,16 @@ func sourceError(err error) *Error {
 	return errf(ErrBadSource, "%v", err)
 }
 
-// Build materializes a normalized kernels or source spec as an IR program.
-// A source program lowers the program Normalize already checked, so the
+// Build materializes a normalized program spec as an IR program: a bench
+// builds its benchmark, a kernels spec composes its generators, and a
+// source program lowers the program Normalize already checked, so the
 // frontend runs once per job; Build fails on a source spec that was never
 // normalized. Lowering only reads the checked program, so copies of one
-// request may Build concurrently. Bench programs resolve through an
-// experiment suite instead (exp.Suite.Resolve builds and profiles each
-// once), so Build rejects them.
+// request may Build concurrently.
 func (p *ProgramSpec) Build() (*ir.Program, error) {
 	switch p.Kind {
+	case KindBench:
+		return workload.Build(p.Bench)
 	case KindSource:
 		if p.checked == nil {
 			return nil, errors.New("spec: Build needs a normalized source program")
@@ -474,17 +475,24 @@ func (p *ProgramSpec) Build() (*ir.Program, error) {
 		}
 		return prog, nil
 	}
-	return nil, fmt.Errorf("program kind %q does not build inline", p.Kind)
+	return nil, fmt.Errorf("unknown program kind %q", p.Kind)
 }
+
+// Key derives the normalized program's content address, shared by every job
+// on the program whatever its strategy, machine or flags.
+func (p *ProgramSpec) Key() string { return contentKey(p) }
 
 // Key derives the job's content address: the SHA-256 of its canonical JSON
 // encoding (normalized spec, so every defaultable field is explicit).
 // Fields that cannot change the result (worker counts, timeouts) are not
 // part of the request and so never fragment the cache.
-func (r *JobRequest) Key() string {
-	b, err := json.Marshal(r)
+func (r *JobRequest) Key() string { return contentKey(r) }
+
+// contentKey is the SHA-256 content address of v's canonical JSON encoding.
+func contentKey(v any) string {
+	b, err := json.Marshal(v)
 	if err != nil { // canonical structs always marshal
-		panic(fmt.Sprintf("canonical job marshal: %v", err))
+		panic(fmt.Sprintf("canonical marshal: %v", err))
 	}
 	sum := sha256.Sum256(b)
 	return "sha256:" + hex.EncodeToString(sum[:])
@@ -525,17 +533,12 @@ type compileIdentity struct {
 // across them. Key remains the full per-run address (it additionally hashes
 // trace, baseline and machine options).
 func (r *JobRequest) CompileKey() string {
-	b, err := json.Marshal(compileIdentity{
+	return contentKey(compileIdentity{
 		Program:  r.Program,
 		Strategy: r.Strategy,
 		Cores:    r.Cores,
 		Compiler: r.Compiler,
 	})
-	if err != nil { // canonical structs always marshal
-		panic(fmt.Sprintf("canonical compile-identity marshal: %v", err))
-	}
-	sum := sha256.Sum256(b)
-	return "sha256:" + hex.EncodeToString(sum[:])
 }
 
 // MachineKey identifies the machine configuration a normalized request runs
@@ -587,8 +590,8 @@ func (r *JobRequest) MachineConfig(tr *trace.Tracer) core.Config {
 }
 
 // Simulate is the job pipeline of every entry point: the service, voltron-run
-// and the experiment suite. p and pr are the resolved program and profile
-// (nil: the compiler profiles p); m is configured by MachineConfig, and its
+// and the experiment suite. p and pr are the resolved program and its
+// profile (exp.Suite.Resolve); m is configured by MachineConfig, and its
 // tracer, if any, traces the run. workers bounds measured selection's eval
 // machines and cannot change a result. With cp nil the request compiles
 // fused with its run (compiler.CompileRun), otherwise cp runs. A traced
