@@ -35,10 +35,10 @@ type Result struct {
 	// RegionOps counts executed ops per region id (terminator evaluations
 	// included as one op — the BR the machine would execute).
 	RegionOps []int64
-	// BlockCounts is the execution count of every block.
-	BlockCounts map[*ir.Block]int64
-	// OpCounts is the execution count of every op.
-	OpCounts map[*ir.Op]int64
+	// BlockCounts[r][b] is the execution count of block ID b of region ID
+	// r. A block's ops all run once per execution of the block, so it is
+	// also the execution count of each of its ops.
+	BlockCounts [][]int64
 }
 
 // Options configures a run.
@@ -74,8 +74,7 @@ func RunContext(ctx context.Context, p *ir.Program, opt Options) (*Result, error
 	res := &Result{
 		Mem:         m,
 		RegionOps:   make([]int64, len(p.Regions)),
-		BlockCounts: map[*ir.Block]int64{},
-		OpCounts:    map[*ir.Op]int64{},
+		BlockCounts: make([][]int64, len(p.Regions)),
 	}
 	for _, r := range p.Regions {
 		if err := runRegion(ctx, r, m, opt, res); err != nil {
@@ -87,6 +86,8 @@ func RunContext(ctx context.Context, p *ir.Program, opt Options) (*Result, error
 
 func runRegion(ctx context.Context, r *ir.Region, m *mem.Flat, opt Options, res *Result) error {
 	vals := make([]uint64, r.NumValues())
+	counts := make([]int64, len(r.Blocks))
+	res.BlockCounts[r.ID] = counts
 	if opt.Tracer != nil {
 		opt.Tracer.EnterRegion(r)
 	}
@@ -100,14 +101,13 @@ func runRegion(ctx context.Context, r *ir.Region, m *mem.Flat, opt Options, res 
 		if opt.Tracer != nil {
 			opt.Tracer.EnterBlock(b)
 		}
-		res.BlockCounts[b]++
+		counts[b.ID]++
 		for _, o := range b.Ops {
 			if err := EvalOp(o, vals, m, opt.Tracer); err != nil {
 				return err
 			}
 			res.DynOps++
 			res.RegionOps[r.ID]++
-			res.OpCounts[o]++
 			if res.DynOps > opt.MaxOps {
 				return fmt.Errorf("op budget exceeded (%d)", opt.MaxOps)
 			}

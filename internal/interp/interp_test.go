@@ -64,11 +64,11 @@ func TestRunTripCountsAndBlockCounts(t *testing.T) {
 	}
 	r := p.Regions[0]
 	header, body := r.Blocks[1], r.Blocks[2]
-	if res.BlockCounts[header] != 11 {
-		t.Errorf("header count = %d, want 11", res.BlockCounts[header])
+	if res.BlockCounts[r.ID][header.ID] != 11 {
+		t.Errorf("header count = %d, want 11", res.BlockCounts[r.ID][header.ID])
 	}
-	if res.BlockCounts[body] != 10 {
-		t.Errorf("body count = %d, want 10", res.BlockCounts[body])
+	if res.BlockCounts[r.ID][body.ID] != 10 {
+		t.Errorf("body count = %d, want 10", res.BlockCounts[r.ID][body.ID])
 	}
 }
 

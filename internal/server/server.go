@@ -584,6 +584,8 @@ type ValidateResponse struct {
 // failure), the program is lowered to IR, and the static classifier
 // reports the per-region plan the compiler would install. Nothing is
 // simulated; the resolved program enters the program tier jobs share.
+// Resolution and classification run in a worker slot under the
+// RequestTimeout; a deadline answers 504 and a canceled client 499.
 func (s *Server) handleValidate(w http.ResponseWriter, r *http.Request) {
 	body, ok := s.readBody(w, r)
 	if !ok {
@@ -593,37 +595,46 @@ func (s *Server) handleValidate(w http.ResponseWriter, r *http.Request) {
 	if req == nil {
 		return
 	}
-	p, pr, err := s.suite.Resolve(r.Context(), req.Program)
-	if err != nil {
-		status := http.StatusInternalServerError
-		var se *spec.Error
-		if errors.As(err, &se) {
-			status = http.StatusBadRequest // a program the frontend rejects
-		}
-		s.writeError(w, status, err)
-		return
-	}
-	opts := req.CompilerOpts()
-	opts.Profile = pr
-	cls, err := compiler.ClassifyProgram(p, opts)
-	if err != nil {
-		s.writeError(w, http.StatusInternalServerError, err)
-		return
-	}
+	// Resolving profiles the program, which runs as long as its loops do:
+	// it takes a worker slot and obeys the RequestTimeout like a job.
+	ctx, cancel := context.WithTimeout(r.Context(), s.cfg.RequestTimeout)
+	defer cancel()
 	resp := ValidateResponse{
 		SchemaVersion: spec.SchemaVersion,
-		Program:       p.Name,
 		Kind:          req.Program.Kind,
 		Strategy:      req.Strategy,
 		Cores:         req.Cores,
 	}
-	for i, c := range cls {
-		resp.Regions = append(resp.Regions, ValidateRegion{
-			Name:       p.Regions[i].Name,
-			Tier:       c.Tier.String(),
-			Choice:     c.Choice.String(),
-			Confidence: c.Confidence,
-		})
+	err := s.slot(ctx, func() error {
+		p, pr, err := s.suite.Resolve(ctx, req.Program)
+		if err != nil {
+			return err
+		}
+		opts := req.CompilerOpts()
+		opts.Profile = pr
+		cls, err := compiler.ClassifyProgram(p, opts)
+		if err != nil {
+			return err
+		}
+		resp.Program = p.Name
+		for i, c := range cls {
+			resp.Regions = append(resp.Regions, ValidateRegion{
+				Name:       p.Regions[i].Name,
+				Tier:       c.Tier.String(),
+				Choice:     c.Choice.String(),
+				Confidence: c.Confidence,
+			})
+		}
+		return nil
+	})
+	if err != nil {
+		var se *spec.Error
+		if errors.As(err, &se) {
+			s.writeError(w, http.StatusBadRequest, err) // a program the frontend rejects
+		} else {
+			s.writeFailure(w, err)
+		}
+		return
 	}
 	s.writeJSON(w, http.StatusOK, resp)
 }

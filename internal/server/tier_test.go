@@ -3,6 +3,7 @@ package server
 import (
 	"context"
 	"encoding/json"
+	"fmt"
 	"net/http"
 	"net/http/httptest"
 	"strings"
@@ -100,4 +101,50 @@ func TestProfileCancelAnswers504(t *testing.T) {
 	if m := s.Metrics(); m.Simulations != 0 || m.MachinePoolNews != 0 {
 		t.Errorf("simulations %d, machines built %d; want 0 and 0", m.Simulations, m.MachinePoolNews)
 	}
+}
+
+// TestValidateRunsInWorkerSlot: /v1/validate profiles inside a worker slot
+// under the RequestTimeout, like a job. Three validations of 20M-iteration
+// loops on one worker all answer 504 soon after the 200 ms deadline, and
+// the running gauge shows exactly one of them in the slot at a time.
+func TestValidateRunsInWorkerSlot(t *testing.T) {
+	s := New(Config{Workers: 1, RequestTimeout: 200 * time.Millisecond})
+	h := s.Handler()
+	const n = 3
+	done := make(chan *httptest.ResponseRecorder, n)
+	start := time.Now()
+	for i := range n {
+		src := fmt.Sprintf(`param n = %d;\nvar s int = 0;\nfunc main() {\n\tfor i = 0; i < n; i = i + 1 {\n\t\ts = s + i * 3;\n\t}\n}\n`, 20000000+i)
+		body := `{"program": {"kind": "source", "name": "loop", "source": "` + src + `"}, "strategy": "hybrid", "cores": 4}`
+		go func() {
+			rec := httptest.NewRecorder()
+			h.ServeHTTP(rec, httptest.NewRequest("POST", "/v1/validate", strings.NewReader(body)))
+			done <- rec
+		}()
+	}
+	var peak int64
+	tick := time.NewTicker(time.Millisecond)
+	defer tick.Stop()
+	timeout := time.After(time.Minute)
+	for answered := 0; answered < n; {
+		select {
+		case rec := <-done:
+			answered++
+			var er ErrorResponse
+			if err := json.Unmarshal(rec.Body.Bytes(), &er); err != nil || rec.Code != http.StatusGatewayTimeout || er.Code != "timeout" {
+				t.Errorf("answered %d %s, want 504 timeout", rec.Code, rec.Body.Bytes())
+			}
+		case <-tick.C:
+			peak = max(peak, s.Metrics().InFlight)
+		case <-timeout:
+			t.Fatalf("%d of %d validations unanswered after a minute", n-answered, n)
+		}
+	}
+	if took := time.Since(start); took > time.Second {
+		t.Errorf("answered after %v, want soon after the 200ms deadline", took)
+	}
+	if peak != 1 {
+		t.Errorf("running peaked at %d with 1 worker, want 1", peak)
+	}
+	waitForIdle(t, s)
 }
