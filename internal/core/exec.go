@@ -6,7 +6,9 @@
 package core
 
 import (
+	"cmp"
 	"fmt"
+	"slices"
 	"sync"
 
 	"voltron/internal/ir"
@@ -73,74 +75,122 @@ type CompiledRegion struct {
 	// FallbackLabels resolves logical blocks in the fallback stream.
 	FallbackLabels map[int64]int
 
-	// Dense branch-target tables derived from Labels/FallbackLabels the
-	// first time the region runs (branches resolve targets by indexing
-	// instead of a map lookup on the simulator's hot path). Guarded by a
-	// Once so concurrent Machines may share one region.
+	// Per-stream tables derived from the code the first time the region
+	// runs: branch targets resolve by indexing instead of a map lookup on
+	// the simulator's hot path, and each core's register files are sized
+	// once instead of growing one register at a time. Guarded by a Once so
+	// concurrent Machines may share one region.
 	resolveOnce sync.Once
-	btabs       [][]int32
-	fbtab       []int32
+	labels      []labelTable
+	fbLabels    labelTable
+	regs        []regCounts
+	fbRegs      regCounts
 }
 
-// maxDenseLabel bounds the dense table size; a region with out-of-range
-// block ids keeps the map lookups (correct, just slower).
+// maxDenseLabel bounds a stream's dense label table; ids outside
+// [0, maxDenseLabel) — the per-core thread entry labels of decoupled and
+// DOALL streams sit at 1<<20 + core — go to the stream's overflow list.
 const maxDenseLabel = 1 << 16
 
-// denseLabels flattens one label map into an id-indexed table (-1 = no such
-// block). It returns nil when the ids do not fit a dense table.
-func denseLabels(m map[int64]int) []int32 {
+// labelTable resolves one stream's logical block ids to instruction indices.
+type labelTable struct {
+	dense    []int32 // indexed by id; -1 = no such block
+	overflow []labelEntry
+}
+
+// labelEntry is one out-of-range label of a stream.
+type labelEntry struct {
+	id  int64
+	idx int
+}
+
+// newLabelTable flattens one label map: ids below maxDenseLabel index a
+// dense table, the rest (typically one thread entry label) form a short
+// overflow list.
+func newLabelTable(m map[int64]int) labelTable {
+	var lt labelTable
 	maxID := int64(-1)
-	for id := range m {
+	for id, idx := range m {
 		if id < 0 || id >= maxDenseLabel {
-			return nil
-		}
-		if id > maxID {
+			lt.overflow = append(lt.overflow, labelEntry{id, idx})
+		} else if id > maxID {
 			maxID = id
 		}
 	}
-	t := make([]int32, maxID+1)
-	for i := range t {
-		t[i] = -1
+	lt.dense = make([]int32, maxID+1)
+	for i := range lt.dense {
+		lt.dense[i] = -1
 	}
 	for id, idx := range m {
-		t[id] = int32(idx)
+		if id >= 0 && id < maxDenseLabel {
+			lt.dense[id] = int32(idx)
+		}
 	}
-	return t
+	// Map order is random; sorted, equal regions build equal tables.
+	slices.SortFunc(lt.overflow, func(a, b labelEntry) int { return cmp.Compare(a.id, b.id) })
+	return lt
 }
 
-// resolve builds the dense branch tables once per region.
+// lookup resolves a logical block id, checking the overflow list only for
+// ids the dense table cannot hold.
+func (lt *labelTable) lookup(id int64) (int, bool) {
+	if id >= 0 && id < maxDenseLabel {
+		if id >= int64(len(lt.dense)) || lt.dense[id] < 0 {
+			return 0, false
+		}
+		return int(lt.dense[id]), true
+	}
+	for _, e := range lt.overflow {
+		if e.id == id {
+			return e.idx, true
+		}
+	}
+	return 0, false
+}
+
+// regCounts is the number of registers a stream names per class (the
+// highest index plus one), indexed like coreState's register files.
+type regCounts [4]int
+
+// countRegs scans a stream for the registers its instructions name.
+func countRegs(code []isa.Inst) regCounts {
+	var n regCounts
+	for i := range code {
+		for _, r := range [...]isa.Reg{code[i].Dst, code[i].Src1, code[i].Src2} {
+			if r.Valid() {
+				ci := classIdx(r.Class)
+				n[ci] = max(n[ci], r.Index+1)
+			}
+		}
+	}
+	return n
+}
+
+// resolve builds the per-stream label tables and register counts once per
+// region.
 func (cr *CompiledRegion) resolve() {
 	cr.resolveOnce.Do(func() {
-		cr.btabs = make([][]int32, len(cr.Labels))
+		cr.labels = make([]labelTable, len(cr.Labels))
 		for c, m := range cr.Labels {
-			cr.btabs[c] = denseLabels(m)
+			cr.labels[c] = newLabelTable(m)
 		}
-		cr.fbtab = denseLabels(cr.FallbackLabels)
+		cr.fbLabels = newLabelTable(cr.FallbackLabels)
+		cr.regs = make([]regCounts, len(cr.Code))
+		for c, code := range cr.Code {
+			cr.regs[c] = countRegs(code)
+		}
+		cr.fbRegs = countRegs(cr.Fallback)
 	})
 }
 
 // lookupLabel resolves a logical block id in core c's stream.
 func (cr *CompiledRegion) lookupLabel(c int, id int64) (int, bool) {
-	if t := cr.btabs[c]; t != nil {
-		if id < 0 || id >= int64(len(t)) || t[id] < 0 {
-			return 0, false
-		}
-		return int(t[id]), true
-	}
-	idx, ok := cr.Labels[c][id]
-	return idx, ok
+	return cr.labels[c].lookup(id)
 }
 
 // lookupFallbackLabel resolves a logical block id in the fallback stream.
 func (cr *CompiledRegion) lookupFallbackLabel(id int64) (int, bool) {
-	if t := cr.fbtab; t != nil {
-		if id < 0 || id >= int64(len(t)) || t[id] < 0 {
-			return 0, false
-		}
-		return int(t[id]), true
-	}
-	idx, ok := cr.FallbackLabels[id]
-	return idx, ok
+	return cr.fbLabels.lookup(id)
 }
 
 // Validate checks structural consistency of the compiled region against a

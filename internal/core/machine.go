@@ -45,7 +45,7 @@ type Config struct {
 	// Tracer, when non-nil, collects the structured timeline of the run:
 	// per-core stall spans, operand- and queue-network events, spawn/sleep
 	// transitions, cache-miss fills, transactions and region boundaries.
-	// Render with its WriteChrome/Report methods. Nil tracing
+	// Render with its AppendChrome/WriteChrome/Report methods. Nil tracing
 	// costs a single nil check at each emit site; the event loop stays
 	// allocation-free either way (enforced by TestEventLoopZeroAllocs).
 	// A tracer covers one run: the machine drops it when that run ends,
@@ -163,21 +163,14 @@ type coreState struct {
 
 func classIdx(c isa.RegClass) int { return int(c) - 1 }
 
-func (cs *coreState) ensure(r isa.Reg) {
-	ci := classIdx(r.Class)
-	for len(cs.regs[ci]) <= r.Index {
-		cs.regs[ci] = append(cs.regs[ci], 0)
-		cs.ready[ci] = append(cs.ready[ci], 0)
-	}
-}
+// The register accessors index files that reset sized for the region's
+// stream: every register an instruction names is below its class's count.
 
 func (cs *coreState) get(r isa.Reg) uint64 {
-	cs.ensure(r)
 	return cs.regs[classIdx(r.Class)][r.Index]
 }
 
 func (cs *coreState) set(r isa.Reg, v uint64, readyAt int64) {
-	cs.ensure(r)
 	cs.regs[classIdx(r.Class)][r.Index] = v
 	cs.ready[classIdx(r.Class)][r.Index] = readyAt
 }
@@ -191,18 +184,23 @@ func (cs *coreState) setPred(r isa.Reg, v bool, readyAt int64) {
 }
 
 func (cs *coreState) readyAt(r isa.Reg) int64 {
-	cs.ensure(r)
 	return cs.ready[classIdx(r.Class)][r.Index]
 }
 
-// reset reinitializes a recycled coreState for a new region, keeping the
-// register-file backing arrays (truncated to zero length, so ensure()
-// repopulates them with zeros exactly as a fresh coreState would).
-func (cs *coreState) reset(id int, awake bool) {
+// reset reinitializes a recycled coreState for a new region whose stream
+// names n registers per class (CompiledRegion.resolve counts them). The
+// register files are sized to n once and zeroed, so a register read before
+// any write holds 0; their backing arrays are kept for the next region.
+func (cs *coreState) reset(id int, awake bool, n regCounts) {
 	regs, ready := cs.regs, cs.ready
-	for i := range regs {
-		regs[i] = regs[i][:0]
-		ready[i] = ready[i][:0]
+	for i, k := range n {
+		if cap(regs[i]) < k {
+			regs[i], ready[i] = make([]uint64, k), make([]int64, k)
+			continue
+		}
+		regs[i], ready[i] = regs[i][:k], ready[i][:k]
+		clear(regs[i])
+		clear(ready[i])
 	}
 	*cs = coreState{id: id, awake: awake}
 	cs.regs, cs.ready = regs, ready
@@ -524,7 +522,7 @@ func (rs *runState) runRegion(id int, cr *CompiledRegion) error {
 			rs.m.scratch = append(rs.m.scratch, &coreState{})
 		}
 		cs := rs.m.scratch[c]
-		cs.reset(c, cr.StartAwake[c])
+		cs.reset(c, cr.StartAwake[c], cr.regs[c])
 		rs.cores = append(rs.cores, cs)
 		if cs.awake {
 			rs.setPC(cs, cr.Entry[c])
@@ -916,7 +914,8 @@ func (rs *runState) runFallback() error {
 	}
 	rs.sys.TM.AbortAll(rs.sys.Flat)
 	cr := rs.cr
-	cs := &coreState{id: 0, awake: true}
+	cs := &coreState{}
+	cs.reset(0, true, cr.fbRegs)
 	// Distinct address space for the fallback stream.
 	saveRegion := rs.regionID
 	rs.regionID = saveRegion | 1<<16

@@ -1,6 +1,8 @@
 package server
 
 import (
+	"bytes"
+	"context"
 	"encoding/json"
 	"io"
 	"net/http"
@@ -163,6 +165,55 @@ func TestTracedJob(t *testing.T) {
 		t.Errorf("trace re-fetch failed: %v / %v", err, tresp2.Status)
 	} else {
 		tresp2.Body.Close()
+	}
+}
+
+// TestTraceStoredExactSize: a traced job stores its rendered trace as an
+// exactly sized blob (cap == len, so the store keeps no render slack), and
+// GET /v1/traces/{key} serves exactly the bytes of rendering that job's
+// tracer again.
+func TestTraceStoredExactSize(t *testing.T) {
+	s, ts := newTestServer(t, Config{})
+	body := `{
+		"program": {"kind": "kernels", "name": "t", "kernels": [{"kind": "pipeline", "name": "p", "table": 512, "n": 64, "work": 2}]},
+		"strategy": "ftlp", "cores": 4, "trace": true
+	}`
+	resp, b := postJob(t, ts, body)
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("status = %d, body %s", resp.StatusCode, b)
+	}
+	jr := decodeJob(t, b)
+	blob, ok := s.traces.Completed(jr.Key)
+	if !ok {
+		t.Fatalf("no stored trace for key %q", jr.Key)
+	}
+	if cap(blob) != len(blob) {
+		t.Errorf("stored trace has cap %d for len %d, want an exactly sized blob", cap(blob), len(blob))
+	}
+
+	tresp, err := http.Get(ts.URL + jr.TraceURL)
+	if err != nil {
+		t.Fatal(err)
+	}
+	served, _ := io.ReadAll(tresp.Body)
+	tresp.Body.Close()
+	if tresp.StatusCode != http.StatusOK {
+		t.Fatalf("GET %s: status %d: %s", jr.TraceURL, tresp.StatusCode, served)
+	}
+
+	req, _, err := spec.DecodeJob(strings.NewReader(body))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := req.Normalize(func(string) bool { return true }); err != nil {
+		t.Fatal(err)
+	}
+	_, tr, _, _, err := s.simulate(context.Background(), req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want := tr.AppendChrome(nil); !bytes.Equal(served, want) {
+		t.Errorf("served trace (%d bytes) differs from re-rendering the job's tracer (%d bytes)", len(served), len(want))
 	}
 }
 

@@ -229,6 +229,15 @@ func (s *Server) handleStrategies(w http.ResponseWriter, r *http.Request) {
 	s.writeJSON(w, http.StatusOK, map[string]any{"strategies": spec.Strategies()})
 }
 
+// putTrace stores an exactly sized copy of a rendered trace: the store
+// keeps up to traceEntries blobs of hundreds of KB live, so the spare
+// capacity a render or a body read leaves behind is not kept with them.
+func (s *Server) putTrace(key string, b []byte) {
+	blob := make([]byte, len(b))
+	copy(blob, b)
+	s.traces.Put(key, blob)
+}
+
 // handleTrace serves the Chrome trace JSON of a previously traced job.
 // Traces live in a bounded LRU sharded like job results: a local miss on a
 // non-owner replica forwards to the key's ring owner (which rendered and
@@ -243,7 +252,7 @@ func (s *Server) handleTrace(w http.ResponseWriter, r *http.Request) {
 			s.peerForwards.Inc()
 			if pb, _, err := s.forward(r.Context(), owner, "/v1/traces/"+key, nil); err == nil {
 				s.peerFills.Inc()
-				s.traces.Put(key, pb)
+				s.putTrace(key, pb)
 				w.Header().Set("Content-Type", "application/json")
 				w.Header().Set("X-Voltron-Peer", owner)
 				w.WriteHeader(http.StatusOK)
@@ -773,11 +782,7 @@ func (s *Server) runJob(ctx context.Context, req *spec.JobRequest, key string) (
 		// and served by its job key; the response carries the URL and the
 		// aggregated stall report. Rendering happens inside the singleflight
 		// computation, so concurrent identical traced jobs render once.
-		var buf bytes.Buffer
-		if err := tr.WriteChrome(&buf); err != nil {
-			return nil, cstat, selMode, fmt.Errorf("rendering trace: %w", err)
-		}
-		s.traces.Put(key, buf.Bytes())
+		s.putTrace(key, tr.AppendChrome(nil))
 		resp.TraceURL = "/v1/traces/" + key
 		resp.StallReport = tr.Report()
 	}
